@@ -23,11 +23,6 @@
 //     O(users²). Measures the incremental rebuild against a sampled
 //     estimate of the pre-incremental full re-merge and gates on >= 10x
 //     plus buckets-copied-per-rebuild tracking the per-iteration delta)
-//   --fault-plan=SPEC (chaos injection on the persistence volume during the
-//     scoring phase: error[@AT[+COUNT]] | slow[@AT[+COUNT]]:DELAY_US |
-//     dropsync[@AT[+COUNT]], per serve::parse_fault_plan. Disarmed after the
-//     load; the gateway heals — breaker probe + deferred replay — before the
-//     restart-recovery phase measures durable state)
 //   --deadline-ms=D (score through score_batch_within with a D ms budget:
 //     requests the admission gate cannot serve in time shed with a typed
 //     OverloadError instead of queuing) --max-concurrent=N (admission bound
@@ -43,7 +38,6 @@
 // full registry snapshot is embedded in the JSON under "metrics".
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -52,17 +46,13 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "core/model_store.h"
 #include "num/backend.h"
 #include "obs/flusher.h"
 #include "obs/registry.h"
 #include "serve/auth_gateway.h"
-#include "serve/log_sink.h"
 #include "serve/resilience.h"
-#include "serve/shard_snapshot.h"
 #include "util/args.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -278,13 +268,6 @@ int run(int argc, char** argv) {
   const double deadline_ms = args.get_double("deadline-ms", 0.0);
   const auto max_concurrent =
       static_cast<std::size_t>(args.get_int("max-concurrent", 0));
-  const std::string fault_plan_spec = args.get("fault-plan", "");
-  // Parse up front so a malformed spec fails before the expensive phases
-  // (parse_fault_plan throws std::invalid_argument; main prints and exits).
-  std::optional<serve::FaultPlan> fault_plan;
-  if (!fault_plan_spec.empty()) {
-    fault_plan = serve::parse_fault_plan(fault_plan_spec);
-  }
 
   const std::string backend_flag = args.get("backend", "");
   if (!backend_flag.empty()) {
@@ -347,41 +330,6 @@ int run(int argc, char** argv) {
   config.persist_sync_every = persist_sync;
   config.training.krr.mode = *training_mode;
   config.admission.max_concurrent = max_concurrent;
-
-  // Chaos wiring: one controller models the persistence volume — shard logs,
-  // shard snapshots, and model bundles all consult it, so an armed plan
-  // degrades every write path at once (faulting only the log would let the
-  // store heal itself by compaction and the breaker would never open).
-  std::shared_ptr<serve::ChaosController> chaos;
-  if (fault_plan.has_value()) {
-    chaos = std::make_shared<serve::ChaosController>();
-    config.breaker.cooldown_ns = 100'000'000;  // heal within the bench run
-    config.persist_sink_factory =
-        [chaos](const std::string& path,
-                std::size_t) -> std::unique_ptr<serve::LogSink> {
-      return std::make_unique<serve::ChaosLogSink>(
-          std::make_unique<serve::FileLogSink>(path), chaos, path);
-    };
-    config.persist_snapshot_writer =
-        [chaos](const std::string& path, std::size_t shard,
-                std::size_t shard_count, std::uint64_t last_seq,
-                const core::PopulationStore& segment) {
-          if (chaos->next_append_action() ==
-              serve::ChaosController::Action::kError) {
-            throw serve::IoError("snapshot(chaos)", path, EIO);
-          }
-          serve::write_shard_snapshot(path, shard, shard_count, last_seq,
-                                      segment);
-        };
-    config.bundle_writer = [chaos](const std::vector<std::uint8_t>& bytes,
-                                   const std::string& path) {
-      if (chaos->next_append_action() ==
-          serve::ChaosController::Action::kError) {
-        throw serve::IoError("bundle(chaos)", path, EIO);
-      }
-      core::ModelStore::save_bytes(bytes, path);
-    };
-  }
 
   // In an optional so the persistence path can destroy and reconstruct the
   // gateway to measure restart recovery in-process.
@@ -523,16 +471,9 @@ int run(int argc, char** argv) {
                     });
   }
 
-  if (chaos != nullptr) {
-    chaos->arm(*fault_plan);
-    std::printf("chaos:      armed --fault-plan=%s for the scoring phase\n",
-                fault_plan_spec.c_str());
-  }
-
   constexpr std::size_t kEventWindows = 4;
   std::vector<std::uint8_t> accepted_flags(events, 0);
   std::atomic<std::uint64_t> shed_requests{0};
-  std::atomic<std::uint64_t> unavailable_requests{0};
   timer.reset();
   pool.parallel_for(events, [&](std::size_t i) {
     const Event& event = arrivals[i];
@@ -572,12 +513,6 @@ int run(int argc, char** argv) {
       // Admission control turned the request away (saturated or past its
       // deadline budget) — by design, instead of queuing.
       shed_requests.fetch_add(1, std::memory_order_relaxed);
-    } catch (const std::out_of_range&) {
-      // Degraded read-only mode: a cache miss cannot load its bundle while
-      // the breaker is open, so availability is cache-bounded. Anything
-      // else (no chaos armed) is a real bug — let it propagate.
-      if (chaos == nullptr) throw;
-      unavailable_requests.fetch_add(1, std::memory_order_relaxed);
     }
   });
   const double score_s = timer.elapsed_seconds();
@@ -588,36 +523,6 @@ int run(int argc, char** argv) {
     std::printf("metrics:    %llu periodic flushes\n",
                 static_cast<unsigned long long>(flusher->flushes()));
     flusher.reset();
-  }
-
-  if (chaos != nullptr) {
-    // Heal before anything measures durable state: disarm, wait out the
-    // breaker cooldown, and drive one benign write — the half-open probe —
-    // whose success closes the breaker and replays the deferred backlog.
-    chaos->disarm();
-    std::this_thread::sleep_for(std::chrono::nanoseconds(
-        config.breaker.cooldown_ns + 50'000'000));
-    gateway->contribute(0, sensors::DetectedContext::kStationary,
-                        user_windows(0, 1, dim, seed + 7));
-    gateway->wait_idle();
-    gateway->wait_replay_idle();
-    const auto injected = chaos->stats();
-    const obs::Snapshot mid = gateway->metrics().snapshot();
-    const auto counter = [&mid](const char* name) -> unsigned long long {
-      const auto it = mid.counters.find(name);
-      return it == mid.counters.end() ? 0ull : it->second;
-    };
-    std::printf(
-        "chaos:      disarmed — %llu errors / %llu delays / %llu dropped "
-        "syncs injected, breaker %s, %llu records deferred / %llu replayed\n",
-        static_cast<unsigned long long>(injected.injected_errors),
-        static_cast<unsigned long long>(injected.injected_delays),
-        static_cast<unsigned long long>(injected.dropped_syncs),
-        gateway->persistence_breaker().state() ==
-                serve::CircuitBreaker::State::kClosed
-            ? "closed"
-            : "STILL OPEN",
-        counter("store.log_deferred"), counter("store.deferred_flushed"));
   }
 
   // --- Phase 4 (persistence only): restart recovery -----------------------
@@ -696,17 +601,14 @@ int run(int argc, char** argv) {
   std::printf("store:      %llu contributions, %llu snapshot rebuilds\n",
               static_cast<unsigned long long>(stats.store.contributions),
               static_cast<unsigned long long>(stats.store.snapshot_rebuilds));
-  if (max_concurrent > 0 || deadline_ms > 0.0 || chaos != nullptr) {
+  if (max_concurrent > 0 || deadline_ms > 0.0) {
     const auto breaker_opens = [&metrics] {
       const auto it = metrics.counters.find("gateway.breaker.opens");
       return it == metrics.counters.end() ? std::uint64_t{0} : it->second;
     }();
     std::printf(
-        "resilience: %llu shed, %llu unavailable (degraded %.3f s, "
-        "%llu breaker opens)\n",
-        static_cast<unsigned long long>(shed_requests.load()),
-        static_cast<unsigned long long>(unavailable_requests.load()),
-        degraded_s, static_cast<unsigned long long>(breaker_opens));
+        "resilience: %llu shed (degraded %.3f s, %llu breaker opens)\n",
+        static_cast<unsigned long long>(shed_requests.load()), degraded_s, static_cast<unsigned long long>(breaker_opens));
   }
 
   if (!json_path.empty()) {
@@ -732,8 +634,6 @@ int run(int argc, char** argv) {
          << "  \"score_seconds\": " << score_s << ",\n"
          << "  \"events_per_second\": " << events_per_s << ",\n"
          << "  \"shed_requests\": " << shed_requests.load() << ",\n"
-         << "  \"unavailable_requests\": " << unavailable_requests.load()
-         << ",\n"
          << "  \"degraded_seconds\": " << degraded_s << ",\n"
          << "  \"latency_ms\": {\"p50\": " << p50 << ", \"p95\": " << p95
          << ", \"p99\": " << p99 << ", \"max\": " << lat_max << "},\n"

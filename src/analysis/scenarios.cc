@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -16,14 +15,12 @@
 
 #include "analysis/corpus.h"
 #include "attack/campaign.h"
-#include "core/model_store.h"
 #include "core/population_codec.h"
 #include "features/feature_extractor.h"
 #include "sensors/device.h"
 #include "sensors/drift.h"
 #include "sensors/tuning.h"
 #include "serve/auth_gateway.h"
-#include "serve/shard_snapshot.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -525,11 +522,13 @@ ScenarioResult run_disk_fault_storm(const ScenarioOptions& options) {
           .string();
   std::filesystem::remove_all(root);
 
-  // One ChaosController models the whole persistence VOLUME: log sinks,
-  // snapshot writes, and model-bundle writes all consult it. Faulting only
-  // the log would be too gentle — the store's heal-by-compaction would
-  // succeed immediately and the breaker would never open.
-  auto chaos = std::make_shared<serve::ChaosController>();
+  // One ChaosVolume under the whole gateway: log appends, snapshot writes
+  // and bundle writes all fail together. Faulting only the log would be
+  // too gentle — the store's heal-by-compaction would succeed immediately
+  // and the breaker would never open. Backoff against an armed plan is a
+  // pure wait; the no-op sleep skips it for speed.
+  auto chaos = std::make_shared<serve::ChaosVolume>(
+      std::make_shared<serve::FileVolume>(), [](std::uint64_t) {});
   serve::GatewayConfig gc;
   gc.persist_dir = root + "/pop";
   gc.model_dir = root + "/models";
@@ -539,30 +538,7 @@ ScenarioResult run_disk_fault_storm(const ScenarioOptions& options) {
   gc.breaker.cooldown_ns = 20'000'000;  // recover within the scenario
   gc.io_retry.max_attempts = 2;
   gc.io_retry.base_delay_ns = 50'000;
-  // Backoff against an armed fault plan is a pure wait; skip it for speed.
-  gc.io_sleep = [](std::uint64_t) {};
-  gc.persist_sink_factory =
-      [chaos](const std::string& path, std::size_t) -> std::unique_ptr<serve::LogSink> {
-    return std::make_unique<serve::ChaosLogSink>(
-        std::make_unique<serve::FileLogSink>(path), chaos, path);
-  };
-  gc.persist_snapshot_writer = [chaos](const std::string& path,
-                                       std::size_t shard,
-                                       std::size_t shard_count,
-                                       std::uint64_t last_seq,
-                                       const core::PopulationStore& segment) {
-    if (chaos->next_append_action() == serve::ChaosController::Action::kError) {
-      throw serve::IoError("snapshot(chaos)", path, EIO);
-    }
-    serve::write_shard_snapshot(path, shard, shard_count, last_seq, segment);
-  };
-  gc.bundle_writer = [chaos](const std::vector<std::uint8_t>& bytes,
-                             const std::string& path) {
-    if (chaos->next_append_action() == serve::ChaosController::Action::kError) {
-      throw serve::IoError("bundle(chaos)", path, EIO);
-    }
-    core::ModelStore::save_bytes(bytes, path);
-  };
+  gc.volume = chaos;
 
   Fixture fixture = make_fixture(options, gc);
   const auto extractor = make_extractor(options);

@@ -36,7 +36,9 @@ std::vector<std::uint8_t> ModelStore::serialize(const AuthModel& model) {
   return out;
 }
 
-AuthModel ModelStore::deserialize(const std::vector<std::uint8_t>& bytes) {
+namespace {
+
+AuthModel parse_bundle(const std::vector<std::uint8_t>& bytes) {
   try {
     util::ByteReader reader =
         util::ByteReader::open_digest_framed(bytes, kMagicU32);
@@ -68,6 +70,20 @@ AuthModel ModelStore::deserialize(const std::vector<std::uint8_t>& bytes) {
   }
 }
 
+}  // namespace
+
+AuthModel ModelStore::deserialize(const std::vector<std::uint8_t>& bytes,
+                                  const std::string& origin) {
+  try {
+    return parse_bundle(bytes);
+  } catch (const ModelCorruptError& e) {
+    if (origin.empty()) throw;
+    // A serving fleet sees thousands of bundles and a bare "digest mismatch"
+    // is undebuggable.
+    throw ModelCorruptError(std::string(e.what()) + " (" + origin + ")");
+  }
+}
+
 void ModelStore::save(const AuthModel& model, const std::string& path) {
   save_bytes(serialize(model), path);
 }
@@ -90,37 +106,21 @@ AuthModel ModelStore::load(const std::string& path) {
     }
     throw ModelStoreError("ModelStore: cannot read " + path);
   }
-  try {
-    return deserialize(bytes);
-  } catch (const ModelCorruptError& e) {
-    // Re-throw with the offending path: a serving fleet sees thousands of
-    // bundles and a bare "digest mismatch" is undebuggable.
-    throw ModelCorruptError(std::string(e.what()) + " (" + path + ")");
-  }
+  return deserialize(bytes, path);
 }
 
-ModelStore::Header ModelStore::peek_header(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::error_code ec;
-    if (!std::filesystem::exists(path, ec)) {
-      throw ModelMissingError("ModelStore: no such model file: " + path);
-    }
-    throw ModelStoreError("ModelStore: cannot open " + path);
+ModelStore::Header ModelStore::peek_header(
+    const std::vector<std::uint8_t>& bytes) {
+  if (bytes.size() < kHeaderBytes) {
+    throw ModelCorruptError("ModelStore: file too small");
   }
-  std::uint8_t raw[16];
-  in.read(reinterpret_cast<char*>(raw), sizeof(raw));
-  if (in.gcount() != static_cast<std::streamsize>(sizeof(raw))) {
-    throw ModelCorruptError("ModelStore: file too small (" + path + ")");
+  if (std::memcmp(bytes.data(), kMagic, 4) != 0) {
+    throw ModelCorruptError("ModelStore: bad magic");
   }
-  if (std::memcmp(raw, kMagic, 4) != 0) {
-    throw ModelCorruptError("ModelStore: bad magic (" + path + ")");
-  }
-  util::ByteReader reader(raw, sizeof(raw));
+  util::ByteReader reader(bytes.data(), kHeaderBytes);
   reader.u32();  // magic
   if (reader.u32() != kFormatVersion) {
-    throw ModelCorruptError("ModelStore: unsupported format version (" + path +
-                            ")");
+    throw ModelCorruptError("ModelStore: unsupported format version");
   }
   Header header;
   header.user_id = static_cast<int>(reader.u32());

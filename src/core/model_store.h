@@ -40,11 +40,14 @@ class ModelStore {
     int user_id{0};
     int version{0};
   };
+  static constexpr std::size_t kHeaderBytes = 16;
 
   // Serializes the bundle (including digest).
   static std::vector<std::uint8_t> serialize(const AuthModel& model);
-  // Parses and verifies; throws ModelCorruptError on corruption.
-  static AuthModel deserialize(const std::vector<std::uint8_t>& bytes);
+  // Parses and verifies; throws ModelCorruptError on corruption, naming
+  // `origin` (the file the bytes came from) when one is given.
+  static AuthModel deserialize(const std::vector<std::uint8_t>& bytes,
+                               const std::string& origin = {});
 
   // File round-trip. load() throws ModelMissingError when `path` does not
   // exist and ModelCorruptError (with the offending path in the message)
@@ -56,12 +59,13 @@ class ModelStore {
                          const std::string& path);
   static AuthModel load(const std::string& path);
 
-  // Reads only the fixed 16-byte header of a persisted bundle: magic and
+  // Parses only the fixed kHeaderBytes header of a bundle's bytes (a longer
+  // buffer is fine): magic and
   // format are validated, but the integrity digest is NOT — the result is a
   // hint (e.g. for a gateway rebuilding its version table after a restart),
-  // and any actual model use still goes through the verified load() path.
-  // Throws ModelMissingError / ModelCorruptError like load().
-  static Header peek_header(const std::string& path);
+  // and any actual model use still goes through the verified deserialize().
+  // Throws ModelCorruptError when the header does not parse.
+  static Header peek_header(const std::vector<std::uint8_t>& bytes);
 
   // Hex digest of a serialized bundle (for audit logs).
   static std::string digest_hex(const std::vector<std::uint8_t>& bytes);

@@ -1,10 +1,7 @@
 #include "serve/auth_gateway.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <filesystem>
 #include <stdexcept>
-#include <system_error>
 #include <utility>
 
 #include "core/approx_training.h"
@@ -18,6 +15,7 @@ namespace sy::serve {
 
 AuthGateway::AuthGateway(GatewayConfig config, util::ThreadPool* pool)
     : config_(config),
+      volume_(config.volume ? config.volume : std::make_shared<FileVolume>()),
       clock_(config.clock ? config.clock : steady_clock_fn()),
       persist_breaker_(config.breaker, clock_, &registry_, "gateway.breaker"),
       admission_(config.admission, clock_, &registry_, "gateway.admission"),
@@ -150,12 +148,10 @@ void AuthGateway::recover_persisted_state() {
     options.dir = config_.persist_dir;
     options.compact_threshold = config_.persist_compact_threshold;
     options.sync_every = config_.persist_sync_every;
-    options.sink_factory = config_.persist_sink_factory;
-    options.snapshot_writer = config_.persist_snapshot_writer;
+    options.volume = volume_;
     options.breaker = &persist_breaker_;
     options.io_retry = config_.io_retry;
     options.io_retry_seed = config_.io_retry_seed;
-    options.io_retry_sleep = config_.io_sleep;
     recovery_ = store_->attach_persistence(options);
   }
   // Version table: without this, a restarted gateway would reserve version
@@ -164,26 +160,26 @@ void AuthGateway::recover_persisted_state() {
   // the returned one. Headers only are read (16 bytes per bundle); the
   // digest-verified load happens on first use, as always.
   if (config_.model_dir.empty()) return;
-  std::error_code ec;
-  std::filesystem::create_directories(config_.model_dir, ec);
-  for (const auto& entry :
-       std::filesystem::directory_iterator(config_.model_dir, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    const std::string name = entry.path().filename().string();
+  volume_->make_dirs(config_.model_dir);
+  for (const std::string& name : volume_->list(config_.model_dir)) {
     if (!name.starts_with("user_") || !name.ends_with(".symd")) continue;
+    const std::string path = config_.model_dir + "/" + name;
     try {
-      const auto header = core::ModelStore::peek_header(entry.path().string());
+      const auto bytes = volume_->read(path, core::ModelStore::kHeaderBytes);
+      if (!bytes) continue;  // removed since the listing
+      const auto header = core::ModelStore::peek_header(*bytes);
       auto& slot = versions_[header.user_id];
       slot.installed = std::max(slot.installed, header.version);
       slot.reserved = std::max(slot.reserved, slot.installed);
       ++recovered_users_;
-    } catch (const core::ModelStoreError& e) {
-      // A bundle whose header does not even parse is left unregistered: the
-      // user can re-enroll, and any scoring attempt surfaces the verified
-      // loader's ModelCorruptError (the actual security event).
+    } catch (const std::runtime_error& e) {
+      // A bundle that cannot be read, or whose header does not even parse,
+      // is left unregistered: the user can re-enroll, and any scoring
+      // attempt surfaces the verified loader's error (for a corrupt bundle,
+      // ModelCorruptError — the actual security event).
       util::log_warn_kv(
           "AuthGateway: skipping unreadable bundle during recovery",
-          {{"path", entry.path().string()}, {"error", e.what()}});
+          {{"path", path}, {"error", e.what()}});
     }
   }
 }
@@ -218,19 +214,14 @@ std::optional<ModelCache::LoadedModel> AuthGateway::load_model(
     return std::nullopt;
   }
   const std::string path = model_path(user_token);
-  try {
-    core::AuthModel model = core::ModelStore::load(path);
-    // The file IS the ModelStore serialization: its size is the cache
-    // charge, sparing a redundant serialize+digest pass per miss.
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(path, ec);
-    return ModelCache::LoadedModel{
-        std::move(model), ec ? 0 : static_cast<std::size_t>(size)};
-  } catch (const core::ModelMissingError&) {
-    // Never persisted: an unknown (or never-enrolled) user, not an error.
-    return std::nullopt;
-  }
-  // ModelCorruptError propagates — a tampered bundle is a security event.
+  const auto bytes = volume_->read(path);
+  // Never persisted: an unknown (or never-enrolled) user, not an error.
+  if (!bytes) return std::nullopt;
+  // The file IS the ModelStore serialization: its size is the cache charge,
+  // sparing a redundant serialize+digest pass per miss. ModelCorruptError
+  // propagates — a tampered bundle is a security event.
+  return ModelCache::LoadedModel{core::ModelStore::deserialize(*bytes, path),
+                                 bytes->size()};
 }
 
 bool AuthGateway::install_model(int user_token,
@@ -308,36 +299,18 @@ bool AuthGateway::install_model(int user_token,
 
 void AuthGateway::write_bundle(int user_token,
                                const std::vector<std::uint8_t>& bytes) {
-  // Publish atomically (write-temp-then-rename): a concurrent cache-miss
-  // loader reading this user's bundle must see the old or the new file,
-  // never a torn in-place rewrite.
+  // Atomic: a concurrent cache-miss loader reading this user's bundle must
+  // see the old or the new file, never a torn in-place rewrite. Not fsynced:
+  // power loss can bring back the previous bundle, or none.
   const std::string path = model_path(user_token);
-  const std::string tmp = path + ".tmp";
   // Deterministic per-user jitter stream: replays are reproducible under a
   // fixed io_retry_seed.
   util::Rng jitter(util::splitmix64(
       config_.io_retry_seed ^
       static_cast<std::uint64_t>(static_cast<std::int64_t>(user_token))));
-  retry_io(
-      [&] {
-        try {
-          if (config_.bundle_writer) {
-            config_.bundle_writer(bytes, tmp);
-          } else {
-            core::ModelStore::save_bytes(bytes, tmp);
-          }
-          std::filesystem::rename(tmp, path);
-        } catch (const IoError&) {
-          throw;
-        } catch (const std::filesystem::filesystem_error& e) {
-          throw IoError("rename", path, e.code().value());
-        } catch (const core::ModelStoreError&) {
-          // save_bytes reports failures without an errno; classify as EIO
-          // (transient) so retry and breaker cooldown get a chance.
-          throw IoError("save_bytes", tmp, EIO);
-        }
-      },
-      config_.io_retry, jitter, config_.io_sleep);
+  retry_io([&] { volume_->write_atomic(path, bytes, /*durable=*/false); },
+           config_.io_retry, jitter,
+           [this](std::uint64_t ns) { volume_->sleep(ns); });
 }
 
 void AuthGateway::replay_pending_bundles() {

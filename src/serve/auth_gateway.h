@@ -112,24 +112,10 @@ struct GatewayConfig {
   /// Injectable time source for the breaker/admission gate (tests drive
   /// util::SimClock through a lambda); empty = the steady clock.
   ClockFn clock{};
-  /// Injectable backoff sleep; empty = a real thread sleep.
-  SleepFn io_sleep{};
-  /// Chaos/test hooks forwarded into population persistence (see
-  /// PersistenceOptions::sink_factory / snapshot_writer).
-  std::function<std::unique_ptr<LogSink>(const std::string& path,
-                                         std::size_t shard)>
-      persist_sink_factory{};
-  std::function<void(const std::string& path, std::size_t shard,
-                     std::size_t shard_count, std::uint64_t last_seq,
-                     const core::PopulationStore& segment)>
-      persist_snapshot_writer{};
-  /// Chaos/test hook: writes a serialized model bundle to `path` (the
-  /// temporary half of install_model's write-then-rename). Default:
-  /// ModelStore::save_bytes. Throw IoError here to model bundle-store
-  /// failures.
-  std::function<void(const std::vector<std::uint8_t>& bytes,
-                     const std::string& path)>
-      bundle_writer{};
+  /// The persistence volume behind model_dir and persist_dir (bundles,
+  /// shard snapshots and logs) and the backoff sleep; null = a FileVolume.
+  /// Bundle writes are atomic but not fsynced; snapshots are both.
+  std::shared_ptr<Volume> volume{};
   /// RetrainQueue depth cap — queued + running jobs (0 = unbounded); see
   /// RetrainQueue's shed policy.
   std::size_t retrain_max_pending{0};
@@ -276,8 +262,9 @@ class AuthGateway {
                      std::shared_ptr<const core::AuthModel> model);
   std::string model_path(int user_token) const;
   void account_transfer(std::size_t bytes, bool upload);
-  /// Writes `bytes` to the user's bundle path via write-temp-then-rename,
-  /// with transient-I/O retry. Caller holds the user's install stripe.
+  /// Writes `bytes` to the user's bundle path with Volume::write_atomic
+  /// (not durable), with transient-I/O retry. Caller holds the user's
+  /// install stripe.
   void write_bundle(int user_token, const std::vector<std::uint8_t>& bytes);
   /// Breaker transition hook: pauses/unpauses cache eviction and, on close,
   /// kicks the asynchronous deferred-work replay.
@@ -287,6 +274,8 @@ class AuthGateway {
   void replay_pending_bundles();
 
   GatewayConfig config_;
+  /// config_.volume, or the FileVolume standing in for a null one.
+  std::shared_ptr<Volume> volume_;
   /// Declared before every component that reports into it (and therefore
   /// destroyed after all of them): store/cache/queue hold raw handles into
   /// this registry for their whole lifetime.

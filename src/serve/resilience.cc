@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <thread>
 #include <utility>
 
 namespace sy::serve {
@@ -55,13 +54,6 @@ ClockFn steady_clock_fn() {
   };
 }
 
-SleepFn thread_sleep_fn() {
-  return [](std::uint64_t delay_ns) {
-    std::this_thread::sleep_for(
-        std::chrono::nanoseconds(static_cast<std::int64_t>(delay_ns)));
-  };
-}
-
 std::uint64_t backoff_delay_ns(const BackoffPolicy& policy,
                                std::size_t attempt, util::Rng& rng) {
   double nominal = static_cast<double>(policy.base_delay_ns) *
@@ -85,12 +77,7 @@ void retry_io(const std::function<void()>& op, const BackoffPolicy& policy,
     } catch (const IoError& e) {
       if (!e.transient() || attempt + 1 >= attempts) throw;
     }
-    const std::uint64_t delay = backoff_delay_ns(policy, attempt, rng);
-    if (sleep) {
-      sleep(delay);
-    } else {
-      thread_sleep_fn()(delay);
-    }
+    sleep(backoff_delay_ns(policy, attempt, rng));
   }
 }
 

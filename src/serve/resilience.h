@@ -4,7 +4,7 @@
 /// Four pieces, composable and individually testable:
 ///
 ///   IoError         — typed storage failure (errno + path + op) thrown by
-///                     FileLogSink and friends, with a transient()/fatal
+///                     serve::FileVolume and friends, with a transient()/fatal
 ///                     classification the breaker and retry layer key off.
 ///   BackoffPolicy   — exponential backoff with deterministic jitter drawn
 ///                     from util::Rng; retry_io() wraps a storage operation
@@ -23,8 +23,9 @@
 ///
 /// Time is injectable everywhere (ClockFn): production uses the steady
 /// clock, tests drive util::SimClock through a lambda so every state
-/// transition is deterministic. Sleeps are injectable the same way, so
-/// backoff tests never actually block.
+/// transition is deterministic. Sleeps are injected the same way (tests pass
+/// a recorder, the gateway its serve::Volume), so backoff tests never
+/// actually block.
 #pragma once
 
 #include <cstdint>
@@ -85,10 +86,8 @@ using ClockFn = std::function<std::int64_t()>;
 ClockFn steady_clock_fn();
 
 /// Blocking sleep, injectable so backoff tests record delays instead of
-/// waiting them out.
+/// waiting them out. Production callers sleep through their serve::Volume.
 using SleepFn = std::function<void(std::uint64_t delay_ns)>;
-/// The production sleep: std::this_thread::sleep_for.
-SleepFn thread_sleep_fn();
 
 /// Exponential backoff schedule with deterministic jitter.
 struct BackoffPolicy {
@@ -111,12 +110,12 @@ std::uint64_t backoff_delay_ns(const BackoffPolicy& policy,
                                std::size_t attempt, util::Rng& rng);
 
 /// Runs `op`, retrying *transient* IoError up to policy.max_attempts total
-/// tries with jittered exponential backoff between them. Non-transient
-/// IoError and every other exception type propagate immediately (retrying a
-/// permissions error just burns the budget); the last transient failure
-/// propagates once attempts are exhausted.
+/// tries with jittered exponential backoff (through `sleep`) between them.
+/// Non-transient IoError and every other exception type propagate
+/// immediately (retrying a permissions error just burns the budget); the
+/// last transient failure propagates once attempts are exhausted.
 void retry_io(const std::function<void()>& op, const BackoffPolicy& policy,
-              util::Rng& rng, const SleepFn& sleep = {});
+              util::Rng& rng, const SleepFn& sleep);
 
 /// CircuitBreaker thresholds.
 struct BreakerConfig {

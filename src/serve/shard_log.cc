@@ -1,8 +1,6 @@
 #include "serve/shard_log.h"
 
 #include <cstring>
-#include <filesystem>
-#include <system_error>
 #include <utility>
 
 #include "core/model_store.h"
@@ -62,9 +60,7 @@ std::string ShardLog::path_for(const std::string& dir, std::size_t shard) {
 
 ShardLog::ShardLog(std::string path, std::size_t shard,
                    std::unique_ptr<LogSink> sink)
-    : path_(std::move(path)), shard_(shard), sink_(std::move(sink)) {
-  if (!sink_) sink_ = std::make_unique<FileLogSink>(path_);
-}
+    : path_(std::move(path)), shard_(shard), sink_(std::move(sink)) {}
 
 void ShardLog::append(std::uint64_t seq, int contributor,
                       sensors::DetectedContext context,
@@ -95,15 +91,13 @@ void ShardLog::reset() {
   records_appended_ = 0;
 }
 
-ShardLog::ReplayResult ShardLog::replay(const std::string& path,
+ShardLog::ReplayResult ShardLog::replay(Volume& volume,
+                                        const std::string& path,
                                         std::size_t shard) {
   ReplayResult result;
-  std::vector<std::uint8_t> bytes;
-  if (!util::read_file_bytes(path, bytes)) {
-    std::error_code ec;
-    if (!std::filesystem::exists(path, ec)) return result;  // no log yet
-    throw core::ModelStoreError("ShardLog: cannot read " + path);
-  }
+  const auto file = volume.read(path);
+  if (!file) return result;  // no log yet
+  const std::vector<std::uint8_t>& bytes = *file;
 
   std::size_t pos = 0;
   std::uint64_t last_seq = 0;

@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "core/auth_server.h"
-#include "serve/log_sink.h"
+#include "serve/volume.h"
 
 namespace sy::serve {
 
@@ -47,9 +47,8 @@ class ShardLog {
   /// Log file name for shard `shard` under `dir`.
   static std::string path_for(const std::string& dir, std::size_t shard);
 
-  /// `sink` defaults to a FileLogSink appending to `path`.
-  ShardLog(std::string path, std::size_t shard,
-           std::unique_ptr<LogSink> sink = nullptr);
+  /// Appends through `sink`, normally Volume::open_log(path).
+  ShardLog(std::string path, std::size_t shard, std::unique_ptr<LogSink> sink);
 
   void append(std::uint64_t seq, int contributor,
               sensors::DetectedContext context,
@@ -61,10 +60,11 @@ class ShardLog {
   std::uint64_t records_appended() const { return records_appended_; }
   const std::string& path() const { return path_; }
 
-  /// Reads every intact record from `path` (a missing file is an empty log).
-  /// Torn tail => dropped with a util::log_warn; mid-log corruption =>
-  /// core::ModelCorruptError naming `path` and `shard`.
-  static ReplayResult replay(const std::string& path, std::size_t shard);
+  /// Reads every intact record from `path` on `volume` (a missing file is an
+  /// empty log). Torn tail => dropped with a util::log_warn; mid-log
+  /// corruption => core::ModelCorruptError naming `path` and `shard`.
+  static ReplayResult replay(Volume& volume, const std::string& path,
+                             std::size_t shard);
 
  private:
   std::string path_;

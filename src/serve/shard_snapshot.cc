@@ -1,13 +1,6 @@
 #include "serve/shard_snapshot.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-#include <filesystem>
 #include <stdexcept>
-#include <system_error>
 #include <vector>
 
 #include "core/model_store.h"
@@ -28,59 +21,15 @@ constexpr std::uint32_t kFormatVersion = 1;
                                 ", shard " + std::to_string(shard) + ")");
 }
 
-[[noreturn]] void throw_io(const std::string& what, const std::string& path) {
-  throw core::ModelStoreError("ShardSnapshot: " + what + " failed for " +
-                              path + ": " + std::strerror(errno));
-}
-
-// write + fsync + close. The fsync is load-bearing: the caller truncates
-// the shard's log right after renaming this file into place, and a log
-// truncate that becomes durable before the snapshot's data blocks would
-// lose every record the snapshot was supposed to absorb.
-void write_file_synced(const std::string& path,
-                       const std::vector<std::uint8_t>& bytes) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) throw_io("open", path);
-  const std::uint8_t* data = bytes.data();
-  std::size_t len = bytes.size();
-  while (len > 0) {
-    const ::ssize_t n = ::write(fd, data, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      throw_io("write", path);
-    }
-    data += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    throw_io("fsync", path);
-  }
-  ::close(fd);
-}
-
-// fsync the directory so the rename itself survives power loss.
-void sync_parent_dir(const std::string& path) {
-  const auto dir = std::filesystem::path(path).parent_path().string();
-  const int fd = ::open(dir.empty() ? "." : dir.c_str(),
-                        O_RDONLY | O_DIRECTORY);
-  if (fd < 0) throw_io("open directory", dir);
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    throw_io("fsync directory", dir);
-  }
-  ::close(fd);
-}
-
 }  // namespace
 
 std::string snapshot_path_for(const std::string& dir, std::size_t shard) {
   return dir + "/shard_" + std::to_string(shard) + ".snap";
 }
 
-void write_shard_snapshot(const std::string& path, std::size_t shard,
-                          std::size_t shard_count, std::uint64_t last_seq,
+void write_shard_snapshot(Volume& volume, const std::string& path,
+                          std::size_t shard, std::size_t shard_count,
+                          std::uint64_t last_seq,
                           const core::PopulationStore& segment) {
   std::vector<std::uint8_t> out;
   util::put_u32(out, kMagicU32);
@@ -92,24 +41,18 @@ void write_shard_snapshot(const std::string& path, std::size_t shard,
   const auto digest = util::Sha256::hash(out.data(), out.size());
   out.insert(out.end(), digest.begin(), digest.end());
 
-  // Publish atomically AND durably: data fsynced before the rename, the
-  // rename fsynced via the directory. Recovery must find the previous
+  // Publish atomically AND durably: recovery must find the previous
   // snapshot or this one, never a torn or lost one.
-  const std::string tmp = path + ".tmp";
-  write_file_synced(tmp, out);
-  std::filesystem::rename(tmp, path);
-  sync_parent_dir(path);
+  volume.write_atomic(path, out, /*durable=*/true);
 }
 
-std::optional<ShardSnapshot> load_shard_snapshot(const std::string& path,
+std::optional<ShardSnapshot> load_shard_snapshot(Volume& volume,
+                                                 const std::string& path,
                                                  std::size_t shard,
                                                  std::size_t shard_count) {
-  std::vector<std::uint8_t> bytes;
-  if (!util::read_file_bytes(path, bytes)) {
-    std::error_code ec;
-    if (!std::filesystem::exists(path, ec)) return std::nullopt;
-    throw core::ModelStoreError("ShardSnapshot: cannot read " + path);
-  }
+  const auto file = volume.read(path);
+  if (!file) return std::nullopt;
+  const std::vector<std::uint8_t>& bytes = *file;
 
   try {
     util::ByteReader reader =

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
 #include <iterator>
 #include <stdexcept>
 #include <utility>
@@ -61,13 +60,8 @@ void ShardedPopulationStore::compact_shard_locked(std::size_t s) {
   // Snapshot first, truncate second: a crash in between leaves the log's
   // records with seq <= the snapshot's last_seq, which the next recovery
   // skips — nothing is ever applied twice.
-  if (persist_.snapshot_writer) {
-    persist_.snapshot_writer(snapshot_path_for(persist_.dir, s), s,
-                             shards_.size(), shard.next_seq - 1, shard.data);
-  } else {
-    write_shard_snapshot(snapshot_path_for(persist_.dir, s), s,
-                         shards_.size(), shard.next_seq - 1, shard.data);
-  }
+  write_shard_snapshot(*persist_.volume, snapshot_path_for(persist_.dir, s), s,
+                       shards_.size(), shard.next_seq - 1, shard.data);
   shard.log->reset();
   shard.records_since_snapshot = 0;
   shard.records_since_sync = 0;
@@ -155,7 +149,8 @@ void ShardedPopulationStore::persist_contribution_locked(
                                  shard.retry_draws++);
     retry_io(
         [&] { shard.log->append(seq, contributor_token, context, vectors); },
-        persist_.io_retry, jitter, persist_.io_retry_sleep);
+        persist_.io_retry, jitter,
+        [this](std::uint64_t ns) { persist_.volume->sleep(ns); });
   } catch (const IoError& e) {
     if (breaker == nullptr) throw;  // no degraded mode configured: fail loud
     breaker->on_failure();
@@ -253,11 +248,12 @@ RecoveryStats ShardedPopulationStore::attach_persistence(
   // Timed by hand rather than with an obs::Span so a failed attach (which
   // rolls back and rethrows) records nothing.
   const auto replay_start = std::chrono::steady_clock::now();
-  std::filesystem::create_directories(options.dir);
   // Options are published before any shard's log exists; contribute() only
   // reads them after observing shard.log under that shard's mutex, which
   // attach_persistence still holds when it installs the log.
   persist_ = options;
+  if (!persist_.volume) persist_.volume = std::make_shared<FileVolume>();
+  Volume& volume = *persist_.volume;
 
   // Phase A — stage: read every shard's snapshot+log from disk WITHOUT
   // touching the in-memory shards. All corruption errors (the documented
@@ -266,13 +262,14 @@ RecoveryStats ShardedPopulationStore::attach_persistence(
   RecoveryStats recovered;
   std::vector<StagedShard> staged(shards_.size());
   try {
+    volume.make_dirs(options.dir);
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       StagedShard& stage = staged[s];
 
       // 1. Snapshot (the shard state as of the last compaction), if any.
       std::uint64_t last_seq = 0;
-      if (auto snap = load_shard_snapshot(snapshot_path_for(options.dir, s),
-                                          s, shards_.size())) {
+      if (auto snap = load_shard_snapshot(
+              volume, snapshot_path_for(options.dir, s), s, shards_.size())) {
         stage.segment = std::move(snap->segment);
         last_seq = snap->last_seq;
         ++recovered.shards_with_snapshot;
@@ -283,7 +280,8 @@ RecoveryStats ShardedPopulationStore::attach_persistence(
 
       // 2. Replay the delta log in append order, skipping records the
       // snapshot already folded in.
-      auto replay = ShardLog::replay(ShardLog::path_for(options.dir, s), s);
+      auto replay =
+          ShardLog::replay(volume, ShardLog::path_for(options.dir, s), s);
       if (replay.dropped_torn_tail) ++recovered.torn_tails_dropped;
       stage.max_seq = last_seq;
       for (auto& record : replay.records) {
@@ -317,7 +315,7 @@ RecoveryStats ShardedPopulationStore::attach_persistence(
   std::size_t installed = 0;
   try {
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-      install_staged_shard(s, staged[s], options);
+      install_staged_shard(s, staged[s]);
       // From here the shard counts as fully installed: a compaction
       // failure below must roll it back too.
       ++installed;
@@ -348,18 +346,17 @@ RecoveryStats ShardedPopulationStore::attach_persistence(
   return recovered;
 }
 
-void ShardedPopulationStore::install_staged_shard(
-    std::size_t s, StagedShard& stage, const PersistenceOptions& options) {
+void ShardedPopulationStore::install_staged_shard(std::size_t s,
+                                                  StagedShard& stage) {
   Shard& shard = *shards_[s];
-  const std::string log_path = ShardLog::path_for(options.dir, s);
+  const std::string log_path = ShardLog::path_for(persist_.dir, s);
   std::lock_guard<std::mutex> lock(shard.mutex);
 
   // Open the log FIRST: it is the only fallible step, and it must fail
   // before the shard is touched so rollback never sees a half-mutated
   // shard that was not counted as installed.
-  auto log = std::make_unique<ShardLog>(
-      log_path, s,
-      options.sink_factory ? options.sink_factory(log_path, s) : nullptr);
+  auto log = std::make_unique<ShardLog>(log_path, s,
+                                        persist_.volume->open_log(log_path));
 
   // Remember what this install prepends (and which contexts already
   // existed live) so a later shard's failure can undo it exactly. The

@@ -39,7 +39,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -49,8 +48,8 @@
 
 #include "core/auth_server.h"
 #include "obs/registry.h"
-#include "serve/log_sink.h"
 #include "serve/shard_log.h"
+#include "serve/volume.h"
 
 namespace sy::serve {
 
@@ -67,18 +66,9 @@ struct PersistenceOptions {
   /// 1 survives power loss per contribution; a process crash alone loses
   /// nothing either way, because appends reach the page cache immediately.
   std::size_t sync_every{1};
-  /// Test hook (fault-injection harness): builds the LogSink for a shard's
-  /// log file. Default: FileLogSink appending to `path`.
-  std::function<std::unique_ptr<LogSink>(const std::string& path,
-                                         std::size_t shard)>
-      sink_factory{};
-  /// Test hook (chaos harness): writes a shard snapshot during compaction.
-  /// Default: write_shard_snapshot. A chaos wrapper that throws IoError here
-  /// models the whole persistence volume failing, not just the log file.
-  std::function<void(const std::string& path, std::size_t shard,
-                     std::size_t shard_count, std::uint64_t last_seq,
-                     const core::PopulationStore& segment)>
-      snapshot_writer{};
+  /// Where the snapshots and logs live, and what backoff sleeps on; null =
+  /// a FileVolume. Tests pass a MemVolume or a ChaosVolume.
+  std::shared_ptr<Volume> volume{};
   /// Graceful degradation (set by the gateway; may be null): log I/O runs
   /// through this breaker. While it is open — or once an append has failed,
   /// possibly leaving torn bytes — contributions stay fully visible in
@@ -91,8 +81,6 @@ struct PersistenceOptions {
   /// Seed for the deterministic retry jitter (per-shard streams are forked
   /// from it).
   std::uint64_t io_retry_seed{0x10bac0ff};
-  /// Injectable backoff sleep (tests); default real thread sleep.
-  SleepFn io_retry_sleep{};
 };
 
 /// What attach_persistence() recovered from disk.
@@ -256,10 +244,15 @@ class ShardedPopulationStore final : public core::PopulationStoreBackend {
     std::map<sensors::DetectedContext, std::size_t> recovered_prefix;
     std::set<sensors::DetectedContext> live_contexts;
   };
-  void install_staged_shard(std::size_t s, StagedShard& stage,
-                            const PersistenceOptions& options);
+  void install_staged_shard(std::size_t s, StagedShard& stage);
   void rollback_installed_shards(const std::vector<StagedShard>& staged,
                                  std::size_t installed);
+
+  /// Written once by attach_persistence before any shard's log is installed;
+  /// shard-mutex acquire/release orders the reads in contribute(). Declared
+  /// before shards_ so the volume outlives the shard logs it opened.
+  PersistenceOptions persist_;
+  std::atomic<bool> persistent_{false};
 
   std::vector<std::unique_ptr<Shard>> shards_;
 
@@ -278,11 +271,6 @@ class ShardedPopulationStore final : public core::PopulationStoreBackend {
   mutable std::map<sensors::DetectedContext,
                    std::vector<core::PopulationBucket>>
       cached_segments_;
-
-  /// Written once by attach_persistence before any shard's log is installed;
-  /// shard-mutex acquire/release orders the reads in contribute().
-  PersistenceOptions persist_;
-  std::atomic<bool> persistent_{false};
 
   std::unique_ptr<obs::Registry> own_registry_;  // fallback when none passed
   obs::Registry* registry_;

@@ -1,5 +1,5 @@
-// Resilience primitives (serve/resilience.h) on simulated time, the chaos
-// fault-plan grammar and sink (serve/log_sink.h), the bounded RetrainQueue
+// Resilience primitives (serve/resilience.h) on simulated time, the
+// fault plan grammar and the volumes (serve/volume.h), the bounded RetrainQueue
 // shed policy, ModelCache eviction pausing, and the gateway's end-to-end
 // degrade-and-replay path. Every clock and sleep is injected — no test here
 // waits out a real cooldown.
@@ -20,12 +20,10 @@
 #include <thread>
 #include <vector>
 
-#include "core/model_store.h"
 #include "serve/auth_gateway.h"
-#include "serve/log_sink.h"
 #include "serve/model_cache.h"
 #include "serve/retrain_queue.h"
-#include "serve/shard_snapshot.h"
+#include "serve/volume.h"
 #include "util/rng.h"
 #include "util/sim_clock.h"
 
@@ -349,7 +347,7 @@ TEST(AdmissionGate, InflightStaysCoherentUnderConcurrency) {
   EXPECT_EQ(gate.admitted() + shed.load(), 6u * 400u);
 }
 
-// --- Fault-plan grammar and chaos sink -------------------------------------
+// --- Fault-plan grammar and volumes ---------------------------------------
 
 TEST(FaultPlan, ParsesTheLiveGrammar) {
   const auto unbounded = parse_fault_plan("error");
@@ -374,69 +372,116 @@ TEST(FaultPlan, ParsesTheLiveGrammar) {
 }
 
 TEST(FaultPlan, RejectsMalformedSpecs) {
-  for (const char* bad : {"", "bogus", "slow", "slow@2", "error@x",
-                          "error@1+z", "slow:abc", "error extra"}) {
+  for (const char* bad :
+       {"", "bogus", "slow", "slow@2", "error@x", "error@1+z", "slow:abc",
+        "error extra", "error@1x", "error@1+2z", "error@-1", "slow:12us",
+        "slow: 5", "error@ 3", "error@+3", "error@", "error@1+",
+        "slow:18446744073709552", "error@18446744073709551616"}) {
     EXPECT_THROW(parse_fault_plan(bad), std::invalid_argument) << bad;
   }
 }
 
-// In-memory inner sink recording what actually got through the chaos layer.
-struct RecordingSink final : LogSink {
-  std::size_t appends{0};
-  std::size_t syncs{0};
-  void append(const std::uint8_t*, std::size_t) override { ++appends; }
-  void sync() override { ++syncs; }
-  void reset() override {}
-};
+constexpr char kLog[] = "/virtual/shard_0.log";
 
-TEST(ChaosLogSink, InjectsErrorsOnlyInsideTheArmedWindow) {
-  auto chaos = std::make_shared<ChaosController>();
-  auto inner = std::make_unique<RecordingSink>();
-  RecordingSink* recorder = inner.get();
-  ChaosLogSink sink(std::move(inner), chaos, "/virtual/shard_0.log");
+TEST(ChaosVolume, InjectsErrorsOnlyInsideTheArmedWindow) {
+  auto mem = std::make_shared<MemVolume>();
+  ChaosVolume chaos(mem);
+  const auto sink = chaos.open_log(kLog);
 
   const std::uint8_t byte = 0x5a;
-  sink.append(&byte, 1);  // unarmed: passes through
-  chaos->arm(parse_fault_plan("error@1+2"));
-  sink.append(&byte, 1);  // op 0 since arming: before the window
-  EXPECT_THROW(sink.append(&byte, 1), IoError);  // op 1: in window
-  EXPECT_THROW(sink.sync(), IoError);            // op 2: in window
-  sink.append(&byte, 1);                         // op 3: window exhausted
-  chaos->disarm();
-  sink.append(&byte, 1);
-  EXPECT_EQ(recorder->appends, 4u);
-  EXPECT_EQ(recorder->syncs, 0u);
-  const auto stats = chaos->stats();
-  EXPECT_EQ(stats.injected_errors, 2u);
+  sink->append(&byte, 1);  // unarmed: passes through
+  chaos.arm(parse_fault_plan("error@1+2"));
+  sink->append(&byte, 1);                         // op 0 since arming
+  EXPECT_THROW(sink->append(&byte, 1), IoError);  // op 1: in window
+  EXPECT_THROW(sink->sync(), IoError);            // op 2: in window
+  sink->append(&byte, 1);                         // op 3: window exhausted
+  chaos.disarm();
+  sink->append(&byte, 1);
+  EXPECT_EQ(mem->read(kLog)->size(), 4u);
+  mem->crash();
+  EXPECT_FALSE(mem->read(kLog)) << "no sync reached the inner volume";
+  EXPECT_EQ(chaos.stats().injected_errors, 2u);
 }
 
-TEST(ChaosLogSink, DropSyncSwallowsTheFsyncSilently) {
-  auto chaos = std::make_shared<ChaosController>();
-  auto inner = std::make_unique<RecordingSink>();
-  RecordingSink* recorder = inner.get();
-  ChaosLogSink sink(std::move(inner), chaos, "/virtual/shard_0.log");
-  chaos->arm(parse_fault_plan("dropsync"));
+TEST(ChaosVolume, DropSyncSwallowsTheFsyncSilently) {
+  auto mem = std::make_shared<MemVolume>();
+  ChaosVolume chaos(mem);
+  const auto sink = chaos.open_log(kLog);
+  chaos.arm(parse_fault_plan("dropsync"));
   const std::uint8_t byte = 1;
-  sink.append(&byte, 1);  // appends pass under a dropsync plan
-  sink.sync();            // silently dropped — no error, no inner fsync
-  EXPECT_EQ(recorder->appends, 1u);
-  EXPECT_EQ(recorder->syncs, 0u);
-  EXPECT_EQ(chaos->stats().dropped_syncs, 1u);
+  sink->append(&byte, 1);  // appends pass under a dropsync plan
+  sink->sync();            // silently dropped — no error, no inner fsync
+  EXPECT_EQ(mem->read(kLog)->size(), 1u);
+  mem->crash();
+  EXPECT_FALSE(mem->read(kLog)) << "the dropped sync made nothing durable";
+  EXPECT_EQ(chaos.stats().dropped_syncs, 1u);
 }
 
-TEST(ChaosLogSink, SlowPlanStallsThroughTheInjectedSleep) {
-  auto chaos = std::make_shared<ChaosController>();
-  auto inner = std::make_unique<RecordingSink>();
-  RecordingSink* recorder = inner.get();
+TEST(ChaosVolume, SlowPlanStallsThroughTheInjectedSleep) {
+  auto mem = std::make_shared<MemVolume>();
   std::vector<std::uint64_t> stalls;
-  ChaosLogSink sink(std::move(inner), chaos, "/virtual/shard_0.log",
+  ChaosVolume chaos(mem,
                     [&stalls](std::uint64_t ns) { stalls.push_back(ns); });
-  chaos->arm(parse_fault_plan("slow:125"));
+  const auto sink = chaos.open_log(kLog);
+  chaos.arm(parse_fault_plan("slow:125"));
   const std::uint8_t byte = 1;
-  sink.append(&byte, 1);
+  sink->append(&byte, 1);
   ASSERT_EQ(stalls.size(), 1u);
   EXPECT_EQ(stalls[0], 125'000u);  // 125 us
-  EXPECT_EQ(recorder->appends, 1u) << "slow ops still complete";
+  EXPECT_EQ(chaos.stats().injected_delays, 1u);
+  EXPECT_EQ(mem->read(kLog)->size(), 1u) << "slow ops still complete";
+}
+
+// Fresh directory under the system temp dir, removed on destruction.
+struct TempDir {
+  std::filesystem::path path;
+  explicit TempDir(const std::string& name)
+      : path(std::filesystem::temp_directory_path() /
+             (name + "_" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~TempDir() { std::filesystem::remove_all(path); }
+};
+
+TEST(ChaosVolume, FailedAtomicWriteLeavesTheOldBytesReadable) {
+  TempDir dir("sy_chaos_atomic");
+  const std::string path = (dir.path / "user_1.symd").string();
+  ChaosVolume chaos(std::make_shared<FileVolume>());
+  const std::vector<std::uint8_t> old_bytes{1, 2, 3};
+  chaos.write_atomic(path, old_bytes, /*durable=*/true);
+  chaos.arm(parse_fault_plan("error"));
+  for (const bool durable : {false, true}) {
+    EXPECT_THROW(chaos.write_atomic(path, {9, 9, 9, 9}, durable), IoError);
+    EXPECT_EQ(chaos.read(path), old_bytes);
+  }
+}
+
+TEST(FileVolume, MissingDirectoryIsAFatalErrorThatIsNotRetried) {
+  TempDir dir("sy_missing_dir");
+  const std::string path = (dir.path / "absent" / "user_1.symd").string();
+  FileVolume volume;
+  for (const bool durable : {false, true}) {
+    try {
+      volume.write_atomic(path, {1, 2, 3}, durable);
+      FAIL() << "write under a missing directory must throw";
+    } catch (const IoError& e) {
+      EXPECT_EQ(e.error_number(), ENOENT);
+      EXPECT_FALSE(e.transient());
+    }
+  }
+  BackoffPolicy policy;
+  policy.max_attempts = 5;
+  util::Rng rng(1);
+  std::size_t calls = 0;
+  EXPECT_THROW(retry_io(
+                   [&] {
+                     ++calls;
+                     volume.write_atomic(path, {1, 2, 3}, false);
+                   },
+                   policy, rng, [](std::uint64_t) {}),
+               IoError);
+  EXPECT_EQ(calls, 1u) << "a missing directory does not heal by waiting";
 }
 
 // --- Bounded RetrainQueue --------------------------------------------------
@@ -603,7 +648,8 @@ TEST(AuthGatewayResilience, DegradesServesFromMemoryAndReplaysOnRecovery) {
        ("sy_resilience_gw_" + std::to_string(::getpid())))
           .string();
   std::filesystem::remove_all(root);
-  auto chaos = std::make_shared<ChaosController>();
+  auto chaos = std::make_shared<ChaosVolume>(std::make_shared<FileVolume>(),
+                                             [](std::uint64_t) {});
   util::SimClock clock;
   clock.advance_ns(1);
 
@@ -615,30 +661,7 @@ TEST(AuthGatewayResilience, DegradesServesFromMemoryAndReplaysOnRecovery) {
   config.breaker.cooldown_ns = 1'000;  // simulated: no real waiting
   config.io_retry.max_attempts = 1;
   config.clock = sim_clock_fn(clock);
-  config.io_sleep = [](std::uint64_t) {};
-  config.persist_sink_factory =
-      [chaos](const std::string& path,
-              std::size_t) -> std::unique_ptr<LogSink> {
-    return std::make_unique<ChaosLogSink>(std::make_unique<FileLogSink>(path),
-                                          chaos, path);
-  };
-  config.persist_snapshot_writer = [chaos](const std::string& path,
-                                           std::size_t shard,
-                                           std::size_t shard_count,
-                                           std::uint64_t last_seq,
-                                           const core::PopulationStore& seg) {
-    if (chaos->next_append_action() == ChaosController::Action::kError) {
-      throw IoError("snapshot(chaos)", path, EIO);
-    }
-    write_shard_snapshot(path, shard, shard_count, last_seq, seg);
-  };
-  config.bundle_writer = [chaos](const std::vector<std::uint8_t>& bytes,
-                                 const std::string& path) {
-    if (chaos->next_append_action() == ChaosController::Action::kError) {
-      throw IoError("bundle(chaos)", path, EIO);
-    }
-    core::ModelStore::save_bytes(bytes, path);
-  };
+  config.volume = chaos;
 
   {
     AuthGateway gateway(config);

@@ -18,10 +18,10 @@
 #include "core/model_store.h"
 #include "core/population_codec.h"
 #include "serve/auth_gateway.h"
-#include "serve/log_sink.h"
 #include "serve/shard_log.h"
 #include "serve/shard_snapshot.h"
 #include "serve/sharded_population_store.h"
+#include "serve/volume.h"
 #include "util/rng.h"
 
 namespace sy::serve {
@@ -136,40 +136,37 @@ TEST(ShardPersistence, MissingSnapshotReplaysLogAlone) {
 }
 
 TEST(ShardPersistence, TornTailRecordIsDiscardedAndRecoverySucceeds) {
-  ScratchDir dir("torn_tail");
+  auto volume = std::make_shared<MemVolume>();
+  const std::string dir = "/mem/torn_tail";
+  const std::string log_path = ShardLog::path_for(dir, 0);
   std::vector<std::uint8_t> expected;
+  std::size_t durable_before_tail = 0;
   {
     ShardedPopulationStore store(1);
     PersistenceOptions options;
-    options.dir = dir.str();
+    options.dir = dir;
     options.compact_threshold = 0;
     options.sync_every = 1;
-    FaultInjectingLogSink* sink = nullptr;
-    options.sink_factory = [&sink](const std::string& path,
-                                   std::size_t) -> std::unique_ptr<LogSink> {
-      auto owned =
-          std::make_unique<FaultInjectingLogSink>(path, FaultPlan{});
-      sink = owned.get();
-      return owned;
-    };
+    options.volume = volume;
     store.attach_persistence(options);
     store.contribute(1, kStationary, vectors_for(1, 2, 301));
     store.contribute(2, kMoving, vectors_for(2, 1, 302));
     expected = merged_bytes(store);
-    const std::size_t durable_before_tail = sink->bytes_appended();
+    durable_before_tail = volume->bytes(log_path).size();
     store.contribute(3, kStationary, vectors_for(3, 2, 303));
-    // Tear the final record 5 bytes in.
-    sink->set_plan({FaultPlan::Kind::kTruncateAt, durable_before_tail + 5});
-    sink->materialize_crash();
   }
+  volume->crash();
+  // Tear the final record 5 bytes in.
+  volume->bytes(log_path).resize(durable_before_tail + 5);
 
-  const auto replay = ShardLog::replay(ShardLog::path_for(dir.str(), 0), 0);
+  const auto replay = ShardLog::replay(*volume, log_path, 0);
   EXPECT_TRUE(replay.dropped_torn_tail);
   EXPECT_EQ(replay.records.size(), 2u);
 
   ShardedPopulationStore recovered_store(1);
   PersistenceOptions options;
-  options.dir = dir.str();
+  options.dir = dir;
+  options.volume = volume;
   const auto recovered = recovered_store.attach_persistence(options);
   EXPECT_EQ(recovered.torn_tails_dropped, 1u);
   EXPECT_EQ(recovered.replayed_records, 2u);
@@ -268,13 +265,18 @@ TEST(ShardPersistence, FailedAttachRollsBackExactlyAcrossShards) {
   }
   const auto live_bytes = merged_bytes(store);
 
+  // A volume whose shard-3 log cannot be opened.
+  struct Shard3LogFails final : FileVolume {
+    std::unique_ptr<LogSink> open_log(const std::string& path) override {
+      if (path.ends_with("/shard_3.log")) {
+        throw std::runtime_error("injected: disk full");
+      }
+      return FileVolume::open_log(path);
+    }
+  };
   PersistenceOptions failing;
   failing.dir = dir.str();
-  failing.sink_factory = [](const std::string& path,
-                            std::size_t shard) -> std::unique_ptr<LogSink> {
-    if (shard == 3) throw std::runtime_error("injected: disk full");
-    return std::make_unique<FileLogSink>(path);
-  };
+  failing.volume = std::make_shared<Shard3LogFails>();
   EXPECT_THROW(store.attach_persistence(failing), std::runtime_error);
   EXPECT_FALSE(store.persistent());
   // The in-memory store is exactly its pre-attach self: no recovered
@@ -300,36 +302,32 @@ TEST(ShardPersistence, FailedAttachRollsBackExactlyAcrossShards) {
 }
 
 TEST(ShardPersistence, DroppedFsyncsLoseExactlyTheUnsyncedSuffix) {
-  ScratchDir dir("drop_sync");
+  auto volume = std::make_shared<MemVolume>();
+  auto chaos = std::make_shared<ChaosVolume>(volume);
+  const std::string dir = "/mem/drop_sync";
   std::vector<std::uint8_t> expected;
   {
     ShardedPopulationStore store(1);
     PersistenceOptions options;
-    options.dir = dir.str();
+    options.dir = dir;
     options.compact_threshold = 0;
     options.sync_every = 1;
-    FaultInjectingLogSink* sink = nullptr;
-    options.sink_factory = [&sink](const std::string& path,
-                                   std::size_t) -> std::unique_ptr<LogSink> {
-      auto owned =
-          std::make_unique<FaultInjectingLogSink>(path, FaultPlan{});
-      sink = owned.get();
-      return owned;
-    };
+    options.volume = chaos;
     store.attach_persistence(options);
     store.contribute(1, kStationary, vectors_for(1, 2, 321));
     store.contribute(2, kMoving, vectors_for(2, 1, 322));
     expected = merged_bytes(store);
-    // Storage stops honoring fsync from the next append on: the third
-    // contribution reaches the page cache but never the medium.
-    sink->set_plan({FaultPlan::Kind::kDropSyncsFrom, sink->appends()});
+    // Storage stops honoring fsync from here on: the third contribution
+    // reaches the page cache but never the medium.
+    chaos->arm(parse_fault_plan("dropsync"));
     store.contribute(3, kStationary, vectors_for(3, 2, 323));
-    sink->materialize_crash();
   }
+  volume->crash();
 
   ShardedPopulationStore recovered_store(1);
   PersistenceOptions options;
-  options.dir = dir.str();
+  options.dir = dir;
+  options.volume = volume;
   const auto recovered = recovered_store.attach_persistence(options);
   EXPECT_EQ(recovered.replayed_records, 2u);
   EXPECT_EQ(merged_bytes(recovered_store), expected);
@@ -413,7 +411,9 @@ TEST(ShardPersistence, DoubleAttachThrows) {
 }
 
 TEST(ShardPersistence, ReplayOfMissingLogIsEmpty) {
-  const auto result = ShardLog::replay("/nonexistent/dir/shard_0.log", 0);
+  FileVolume volume;
+  const auto result =
+      ShardLog::replay(volume, "/nonexistent/dir/shard_0.log", 0);
   EXPECT_TRUE(result.records.empty());
   EXPECT_FALSE(result.dropped_torn_tail);
 }
