@@ -1,8 +1,9 @@
 // Numeric backend probe for CI logs and quick local sanity: prints the CPU
-// features the dispatch layer keys on (avx2+fma, avx512f), which backend is
-// detected/active, then measures every num:: kernel on every available
-// backend and reports the speedup over scalar. No Google Benchmark
-// dependency, so it runs everywhere the library builds.
+// features the dispatch layer keys on (avx2+fma, avx512f, and sha_ni for
+// util::Sha256), which backend is detected/active, then measures every num::
+// kernel on every available backend and reports the speedup over scalar,
+// and the SHA-256 digest rate of each available compression. No Google
+// Benchmark dependency, so it runs everywhere the library builds.
 //
 // Flags (or SY_<KEY> env): --rows=N --dim=N --chol-n=N --reps=N --n=N
 //   --require=<backend>  exit non-zero (2) when <backend> is unavailable on
@@ -13,12 +14,15 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "num/backend.h"
 #include "num/kernels.h"
 #include "util/args.h"
 #include "util/rng.h"
+#include "util/sha256.h"
+#include "util/sha256_compress.h"
 #include "util/stopwatch.h"
 
 using namespace sy;
@@ -60,9 +64,9 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(args.get_int("reps", 5));
   const std::string require = args.get("require", "");
 
-  std::printf("sy_num_probe — cpu features: avx2=%s avx512f=%s\n",
-              yesno(num::avx2::available()),
-              yesno(num::avx512::available()));
+  std::printf("sy_num_probe — cpu features: avx2=%s avx512f=%s sha_ni=%s\n",
+              yesno(num::avx2::available()), yesno(num::avx512::available()),
+              yesno(util::sha256_detail::shani_available()));
   std::printf("backends:");
   for (const num::Backend backend : num::all_backends()) {
     std::printf(" %s=%s", std::string(num::backend_name(backend)).c_str(),
@@ -177,6 +181,26 @@ int main(int argc, char** argv) {
     }
   }
   num::set_backend(saved);
+
+  // SHA-256 over one ledger-sized model bundle, per available compression;
+  // "selected" marks the one util::Sha256 runs on this CPU.
+  namespace sha = util::sha256_detail;
+  std::vector<std::uint8_t> bundle(364 * 1024);
+  for (auto& b : bundle) b = static_cast<std::uint8_t>(rng.next_u64());
+  const std::pair<const char*, sha::CompressFn> paths[] = {
+      {"portable", sha::compress_portable}, {"sha_ni", sha::compress_shani}};
+  for (const auto& [name, compress] : paths) {
+    if (compress == sha::compress_shani && !sha::shani_available()) continue;
+    const double sha_s = time_best_of(reps, [&] {
+      util::Sha256 h = sha::Access::with(compress);
+      h.update(bundle.data(), bundle.size());
+      sink = h.digest()[0];
+    });
+    std::printf("sha256 %-9s %9.1f MB/s over %zu KB%s\n", name,
+                static_cast<double>(bundle.size()) / sha_s / 1e6,
+                bundle.size() / 1024,
+                compress == sha::selected_compress() ? " (selected)" : "");
+  }
   (void)sink;
   return 0;
 }

@@ -67,6 +67,12 @@ AuthModel parse_bundle(const std::vector<std::uint8_t>& bytes) {
     throw ModelCorruptError(std::string("ModelStore: ") + e.what());
   } catch (const util::ShortReadError&) {
     throw ModelCorruptError("ModelStore: truncated model file");
+  } catch (const std::invalid_argument& e) {
+    // The digest has no key: a bundle that verifies can still carry forged
+    // counts or codes, which the unpack() codecs reject.
+    throw ModelCorruptError(std::string("ModelStore: ") + e.what());
+  } catch (const std::length_error& e) {
+    throw ModelCorruptError(std::string("ModelStore: ") + e.what());
   }
 }
 

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "ml/linalg.h"
+#include "ml/packed.h"
 #include "num/kernels.h"
 
 namespace sy::ml {
@@ -314,19 +315,26 @@ KrrClassifier KrrClassifier::unpack(std::span<const double> packed) {
     throw std::invalid_argument("KrrClassifier::unpack: truncated");
   }
   KrrConfig config;
-  config.kernel.type = static_cast<KernelType>(static_cast<int>(packed[0]));
+  config.kernel.type = static_cast<KernelType>(
+      unpack_count(packed[0], static_cast<std::size_t>(KernelType::kRbf),
+                   "KrrClassifier::unpack: kernel type"));
   config.kernel.gamma = packed[1];
   config.rho = packed[2];
-  const int mode_code = static_cast<int>(packed[3]);
+  const std::size_t mode_code =
+      unpack_count(packed[3], 3, "KrrClassifier::unpack: mode");
   if (mode_code == 2 || mode_code == 3) {
-    std::size_t pos = 4;
-    const auto map_len = static_cast<std::size_t>(packed[pos++]);
-    if (packed.size() < pos + map_len + 1) {
+    const std::size_t map_pos = 5;
+    const std::size_t map_len =
+        unpack_count(packed[4], packed.size() - map_pos,
+                     "KrrClassifier::unpack: map length");
+    const std::size_t dim_pos = map_pos + map_len;
+    if (dim_pos == packed.size()) {
       throw std::invalid_argument("KrrClassifier::unpack: corrupt approx");
     }
-    auto map = KrrFeatureMap::unpack(packed.subspan(pos, map_len));
-    pos += map_len;
-    const auto dim = static_cast<std::size_t>(packed[pos++]);
+    auto map = KrrFeatureMap::unpack(packed.subspan(map_pos, map_len));
+    const std::size_t pos = dim_pos + 1;
+    const std::size_t dim = unpack_count(packed[dim_pos], packed.size() - pos,
+                                         "KrrClassifier::unpack: approx dim");
     if (packed.size() != pos + dim || dim != map->output_dim()) {
       throw std::invalid_argument("KrrClassifier::unpack: corrupt approx");
     }
@@ -337,9 +345,10 @@ KrrClassifier KrrClassifier::unpack(std::span<const double> packed) {
   const bool primal = mode_code != 0;
 
   KrrClassifier model(config);
-  std::size_t pos = 4;
   if (primal) {
-    const auto dim = static_cast<std::size_t>(packed[pos++]);
+    const std::size_t pos = 5;
+    const std::size_t dim = unpack_count(packed[4], packed.size() - pos,
+                                         "KrrClassifier::unpack: primal dim");
     if (packed.size() != pos + dim) {
       throw std::invalid_argument("KrrClassifier::unpack: corrupt primal");
     }
@@ -348,20 +357,24 @@ KrrClassifier KrrClassifier::unpack(std::span<const double> packed) {
     // Incremental updates are unavailable after unpack (inv_gram_ omitted
     // from the wire format); decision() only needs w.
   } else {
-    const auto n = static_cast<std::size_t>(packed[pos++]);
-    const auto m = static_cast<std::size_t>(packed[pos++]);
-    if (packed.size() != pos + n + n * m) {
+    if (packed.size() < 6) {
+      throw std::invalid_argument("KrrClassifier::unpack: truncated");
+    }
+    const std::size_t pos = 6;
+    const std::size_t rest = packed.size() - pos;
+    const std::size_t n =
+        unpack_count(packed[4], rest, "KrrClassifier::unpack: dual rows");
+    const std::size_t m =
+        unpack_count(packed[5], rest, "KrrClassifier::unpack: dual cols");
+    // rest == n alphas + n*m training values, i.e. n * (1 + m).
+    if (n == 0 || rest % n != 0 || rest / n != 1 + m) {
       throw std::invalid_argument("KrrClassifier::unpack: corrupt dual");
     }
-    model.alpha_.assign(packed.begin() + static_cast<std::ptrdiff_t>(pos),
-                        packed.begin() + static_cast<std::ptrdiff_t>(pos + n));
-    pos += n;
+    const auto alpha_begin = packed.begin() + static_cast<std::ptrdiff_t>(pos);
+    const auto x_begin = alpha_begin + static_cast<std::ptrdiff_t>(n);
+    model.alpha_.assign(alpha_begin, x_begin);
     model.train_x_ = Matrix(n, m);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < m; ++j) {
-        model.train_x_(i, j) = packed[pos++];
-      }
-    }
+    std::copy(x_begin, packed.end(), model.train_x_.data().begin());
   }
   model.trained_ = true;
   return model;

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "ml/linalg.h"
+#include "ml/packed.h"
 #include "num/kernels.h"
 #include "util/rng.h"
 
@@ -155,16 +156,22 @@ std::shared_ptr<const KrrFeatureMap> KrrFeatureMap::unpack(
   if (packed.empty()) {
     throw std::invalid_argument("KrrFeatureMap::unpack: empty");
   }
-  const auto mode = static_cast<TrainingMode>(static_cast<int>(packed[0]));
+  const auto mode = static_cast<TrainingMode>(
+      unpack_count(packed[0], static_cast<std::size_t>(TrainingMode::kRff),
+                   "KrrFeatureMap::unpack: mode"));
   if (mode == TrainingMode::kRff) {
     if (packed.size() < 4) {
       throw std::invalid_argument("KrrFeatureMap::unpack: truncated rff");
     }
     auto map = std::shared_ptr<RffFeatureMap>(new RffFeatureMap());
-    map->dim_ = static_cast<std::size_t>(packed[1]);
-    const auto n_freq = static_cast<std::size_t>(packed[2]);
+    const std::size_t rest = packed.size() - 4;
+    map->dim_ = unpack_count(packed[1], rest, "KrrFeatureMap::unpack: rff dim");
+    const std::size_t n_freq =
+        unpack_count(packed[2], rest, "KrrFeatureMap::unpack: rff n_freq");
     map->scale_ = packed[3];
-    if (packed.size() != 4 + n_freq * map->dim_) {
+    // rest == n_freq * dim, checked without the product.
+    if (map->dim_ == 0 || rest % map->dim_ != 0 ||
+        rest / map->dim_ != n_freq) {
       throw std::invalid_argument("KrrFeatureMap::unpack: corrupt rff");
     }
     map->freqs_ = Matrix(n_freq, map->dim_);
@@ -176,15 +183,22 @@ std::shared_ptr<const KrrFeatureMap> KrrFeatureMap::unpack(
       throw std::invalid_argument("KrrFeatureMap::unpack: truncated nystrom");
     }
     auto map = std::shared_ptr<NystromFeatureMap>(new NystromFeatureMap());
-    const auto dim = static_cast<std::size_t>(packed[1]);
-    const auto n_landmarks = static_cast<std::size_t>(packed[2]);
-    map->kernel_.type = static_cast<KernelType>(static_cast<int>(packed[3]));
+    const std::size_t rest = packed.size() - 5;
+    const std::size_t dim =
+        unpack_count(packed[1], rest, "KrrFeatureMap::unpack: nystrom dim");
+    const std::size_t n_landmarks = unpack_count(
+        packed[2], rest, "KrrFeatureMap::unpack: nystrom landmarks");
+    map->kernel_.type = static_cast<KernelType>(
+        unpack_count(packed[3], static_cast<std::size_t>(KernelType::kRbf),
+                     "KrrFeatureMap::unpack: kernel type"));
     map->kernel_.gamma = packed[4];
-    const std::size_t lm_len = n_landmarks * dim;
-    const std::size_t ch_len = n_landmarks * n_landmarks;
-    if (packed.size() != 5 + lm_len + ch_len) {
+    // rest == landmarks (n_landmarks * dim) + Cholesky factor
+    // (n_landmarks^2), i.e. n_landmarks * (dim + n_landmarks).
+    if (n_landmarks == 0 || rest % n_landmarks != 0 ||
+        rest / n_landmarks != dim + n_landmarks) {
       throw std::invalid_argument("KrrFeatureMap::unpack: corrupt nystrom");
     }
+    const std::size_t lm_len = n_landmarks * dim;
     map->landmarks_ = Matrix(n_landmarks, dim);
     std::copy(packed.begin() + 5, packed.begin() + 5 + lm_len,
               map->landmarks_.data().begin());

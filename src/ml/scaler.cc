@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "ml/packed.h"
 #include "signal/stats.h"
 
 namespace sy::ml {
@@ -58,8 +59,9 @@ std::vector<double> StandardScaler::pack() const {
 
 StandardScaler StandardScaler::unpack(std::span<const double> packed) {
   if (packed.empty()) throw std::invalid_argument("StandardScaler: empty pack");
-  const auto dim = static_cast<std::size_t>(packed[0]);
-  if (packed.size() != 1 + 2 * dim) {
+  const std::size_t rest = packed.size() - 1;
+  const std::size_t dim = unpack_count(packed[0], rest, "StandardScaler: dim");
+  if (rest % 2 != 0 || rest / 2 != dim) {
     throw std::invalid_argument("StandardScaler: corrupt pack");
   }
   StandardScaler s;

@@ -1,9 +1,22 @@
 #include "util/sha256.h"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
+#include "util/sha256_compress.h"
+
+#if (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
+#define SY_SHA256_HAVE_SHANI 1
+#include <immintrin.h>
+#else
+#define SY_SHA256_HAVE_SHANI 0
+#endif
+
 namespace sy::util {
+
+namespace sha256_detail {
 
 namespace {
 
@@ -24,13 +37,9 @@ constexpr std::uint32_t rotr(std::uint32_t x, unsigned n) {
   return (x >> n) | (x << (32 - n));
 }
 
-}  // namespace
+constexpr std::size_t kBlockBytes = 64;
 
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f,
-             0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
-
-void Sha256::process_block(const std::uint8_t* block) {
+void process_block(State& state, const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (std::uint32_t{block[4 * i]} << 24) |
@@ -46,7 +55,7 @@ void Sha256::process_block(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  auto [a, b, c, d, e, f, g, h] = state_;
+  auto [a, b, c, d, e, f, g, h] = state;
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
     const std::uint32_t ch = (e & f) ^ (~e & g);
@@ -63,31 +72,139 @@ void Sha256::process_block(const std::uint8_t* block) {
     b = a;
     a = temp1 + temp2;
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
 }
+
+}  // namespace
+
+void compress_portable(State& state, const std::uint8_t* data,
+                       std::size_t n_blocks) {
+  for (; n_blocks > 0; --n_blocks, data += kBlockBytes) {
+    process_block(state, data);
+  }
+}
+
+#if SY_SHA256_HAVE_SHANI
+
+#define SY_SHANI __attribute__((target("sha,sse4.1")))
+
+bool shani_available() {
+  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+}
+
+// The SHA-NI round instruction keeps the eight working variables as two
+// lanes-of-four, ABEF and CDGH, and does two rounds per call; each group of
+// four rounds takes one message vector W[4g..4g+3] + K[4g..4g+3]. From
+// group 4 on, msg1/msg2 extend the schedule from the previous four vectors
+// (FIPS 180-4 §6.2.2 step 1, four words at a time).
+SY_SHANI void compress_shani(State& state, const std::uint8_t* data,
+                             std::size_t n_blocks) {
+  // Big-endian message words into little-endian lanes.
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i dcba =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state.data()));
+  const __m128i hgfe =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state.data() + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; n_blocks > 0; --n_blocks, data += kBlockBytes) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i msg[4];
+    for (int i = 0; i < 4; ++i) {
+      msg[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * i)),
+          bswap);
+    }
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      if (g >= 4) {
+        // W[4g..] from W[4g-16..], W[4g-12..], W[4g-7..] and W[4g-4..];
+        // msg[g % 4] still holds group g-4's words.
+        const __m128i prev = msg[(g + 3) % 4];
+        const __m128i w7 = _mm_alignr_epi8(prev, msg[(g + 2) % 4], 4);
+        const __m128i s0 = _mm_sha256msg1_epu32(msg[g % 4], msg[(g + 1) % 4]);
+        msg[g % 4] = _mm_sha256msg2_epu32(_mm_add_epi32(s0, w7), prev);
+      }
+      const __m128i wk = _mm_add_epi32(
+          msg[g % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                          kRoundConstants.data() + 4 * g)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state.data()),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state.data() + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#else  // SY_SHA256_HAVE_SHANI
+
+bool shani_available() { return false; }
+
+void compress_shani(State& state, const std::uint8_t* data,
+                    std::size_t n_blocks) {
+  compress_portable(state, data, n_blocks);
+}
+
+#endif  // SY_SHA256_HAVE_SHANI
+
+CompressFn selected_compress() {
+  static const CompressFn selected =
+      shani_available() ? compress_shani : compress_portable;
+  return selected;
+}
+
+}  // namespace sha256_detail
+
+Sha256::Sha256() : Sha256(sha256_detail::selected_compress()) {}
+
+Sha256::Sha256(Compress compress)
+    : compress_(compress),
+      state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f,
+             0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
 
 void Sha256::update(const void* data, std::size_t len) {
   if (finalized_) throw std::logic_error("Sha256::update after digest()");
+  if (len == 0) return;
   const auto* bytes = static_cast<const std::uint8_t*>(data);
   total_bits_ += std::uint64_t{len} * 8;
-  while (len > 0) {
+  if (buffered_ > 0) {
     const std::size_t take = std::min(len, buffer_.size() - buffered_);
     std::memcpy(buffer_.data() + buffered_, bytes, take);
     buffered_ += take;
     bytes += take;
     len -= take;
-    if (buffered_ == buffer_.size()) {
-      process_block(buffer_.data());
-      buffered_ = 0;
-    }
+    if (buffered_ < buffer_.size()) return;
+    compress_(state_, buffer_.data(), 1);
+    buffered_ = 0;
   }
+  // Whole blocks straight from the caller's bytes; only the tail is copied.
+  const std::size_t n_blocks = len / buffer_.size();
+  if (n_blocks > 0) {
+    compress_(state_, bytes, n_blocks);
+    bytes += n_blocks * buffer_.size();
+    len -= n_blocks * buffer_.size();
+  }
+  if (len > 0) std::memcpy(buffer_.data(), bytes, len);
+  buffered_ = len;
 }
 
 std::array<std::uint8_t, 32> Sha256::digest() {

@@ -1,6 +1,14 @@
 // SHA-256 (FIPS 180-4). Used for model-file integrity digests in the model
 // store (the deployment-hardening analogue of the paper's §IV-C "protecting
 // data at rest"). Self-contained; no third-party dependency.
+//
+// Two block compressions sit behind this one API. The portable C++ one is
+// the reference and the fallback. On x86 CPUs with the SHA extensions
+// (CPUID sha + sse4.1, checked once per process) a second one built on
+// the SHA-NI instructions runs instead, several times faster. SHA-256 is
+// one fixed function, so both give identical digests: a file hashed on one
+// machine verifies on any other. tests/util_sha256_test.cc checks the two
+// against each other through util/sha256_compress.h.
 #pragma once
 
 #include <array>
@@ -9,6 +17,10 @@
 #include <vector>
 
 namespace sy::util {
+
+namespace sha256_detail {
+struct Access;
+}
 
 class Sha256 {
  public:
@@ -26,8 +38,12 @@ class Sha256 {
   static std::string hex(const std::vector<std::uint8_t>& data);
 
  private:
-  void process_block(const std::uint8_t* block);
+  friend struct sha256_detail::Access;
+  using Compress = void (*)(std::array<std::uint32_t, 8>& state,
+                            const std::uint8_t* blocks, std::size_t n_blocks);
+  explicit Sha256(Compress compress);
 
+  Compress compress_;
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffered_{0};
