@@ -1,8 +1,8 @@
-// Batched multi-user enrollment throughput: BatchAuthServer (work-stealing
-// ThreadPool) vs. the sequential AuthServer loop, on identical synthetic
-// populations. Also proves the determinism contract: a batch of one must be
-// bit-identical to AuthServer::train_user_model given the same store,
-// config, and RNG seed.
+// Batched multi-user enrollment throughput: AuthServer::train_user_models
+// (work-stealing ThreadPool) vs. a sequential train_user_model loop over the
+// same server and synthetic population. Also proves the determinism
+// contract: a batch of one must be bit-identical to train_user_model given
+// the same store, config, and RNG seed.
 //
 // Per-user enrollment latency is recorded through obs::Span into a local
 // metrics registry (bench.enroll_sequential_ns / bench.enroll_batch_ns), and
@@ -15,12 +15,12 @@
 #include <vector>
 
 #include "core/auth_server.h"
-#include "core/batch_auth_server.h"
 #include "obs/registry.h"
 #include "obs/span.h"
 #include "util/args.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 using namespace sy;
 
@@ -81,7 +81,7 @@ int run(int argc, char** argv) {
   const auto contexts = {sensors::DetectedContext::kStationary,
                          sensors::DetectedContext::kMoving};
 
-  // Identical positives + store contents for both servers.
+  // One server, one store: both paths train against the same population.
   std::vector<core::VectorsByContext> positives(n_users);
   util::Rng data_rng(seed);
   for (std::size_t u = 0; u < n_users; ++u) {
@@ -92,12 +92,10 @@ int run(int argc, char** argv) {
   }
 
   util::ThreadPool pool(threads);
-  core::AuthServer sequential;
-  core::BatchAuthServer batched({}, {}, &pool);
+  core::AuthServer server;
   for (std::size_t u = 0; u < n_users; ++u) {
     for (const auto& [context, vectors] : positives[u]) {
-      sequential.contribute(static_cast<int>(u), context, vectors);
-      batched.contribute(static_cast<int>(u), context, vectors);
+      server.contribute(static_cast<int>(u), context, vectors);
     }
   }
 
@@ -116,10 +114,10 @@ int run(int argc, char** argv) {
   // --- Correctness: batch-of-1 vs. the sequential path --------------------
   {
     util::Rng rng(requests[0].rng_seed);
-    const core::AuthModel seq_model = sequential.train_user_model(
+    const core::AuthModel seq_model = server.train_user_model(
         requests[0].user_token, positives[0], rng, requests[0].version);
-    const auto batch_models = batched.train_user_models(
-        std::span<const core::EnrollmentRequest>(requests.data(), 1));
+    const auto batch_models = server.train_user_models(
+        std::span<const core::EnrollmentRequest>(requests.data(), 1), &pool);
     const bool identical = models_identical(seq_model, batch_models[0]);
     std::printf("batch-of-1 bit-identical to sequential: %s\n",
                 identical ? "yes" : "NO");
@@ -142,15 +140,15 @@ int run(int argc, char** argv) {
     for (std::size_t u = 0; u < n_users; ++u) {
       util::Rng rng(requests[u].rng_seed);
       obs::Span span(seq_ns);
-      (void)sequential.train_user_model(requests[u].user_token, positives[u],
-                                        rng, requests[u].version);
+      (void)server.train_user_model(requests[u].user_token, positives[u], rng,
+                                    requests[u].version);
     }
     seq_best = std::min(seq_best, timer.elapsed_seconds());
 
     timer.reset();
     {
       obs::Span span(batch_ns);
-      (void)batched.train_user_models(requests);
+      (void)server.train_user_models(requests, &pool);
     }
     batch_best = std::min(batch_best, timer.elapsed_seconds());
   }

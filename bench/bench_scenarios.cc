@@ -11,6 +11,7 @@
 //   --json-dir=DIR   write BENCH_scenarios_<name>.json per scenario
 //   --metrics-table  dump the gateway metric tables after each scenario
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -70,8 +71,15 @@ int main(int argc, char** argv) {
   int failures = 0;
   for (const auto& name : selected) {
     util::Stopwatch timer;
-    const analysis::ScenarioResult result =
-        analysis::run_scenario(name, options);
+    analysis::ScenarioResult result;
+    try {
+      result = analysis::run_scenario(name, options);
+    } catch (const std::exception& e) {
+      // Caught so the scenario's cleanup (temp dirs, a forked child) runs.
+      result.name = name;
+      result.passed = false;
+      result.failures.push_back(std::string("threw: ") + e.what());
+    }
     std::printf("\n=== %s (%.1f s) — %s ===\n", result.name.c_str(),
                 timer.elapsed_seconds(), result.passed ? "PASS" : "FAIL");
     for (const auto& [key, value] : result.summary) {

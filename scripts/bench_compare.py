@@ -6,28 +6,27 @@ Usage: bench_compare.py BASELINE.json CANDIDATE.json
        bench_compare.py --matrix BASELINE_DIR CANDIDATE_DIR
            [--threshold 0.20] [--latency-threshold 0.50]
 
-Understands the bench_serving summary shapes (load run, --enroll-heavy,
---recover-only), the bench_batch_training summary, and Google Benchmark
---benchmark_out documents (a "benchmarks" array: per-benchmark real_time of
-same-named iteration entries diff as latency metrics, so same-backend pairs
-of bench_micro_krr artifacts — e.g. yesterday's BENCH_micro_krr_avx512.json
-against today's — gate directly). Every known metric present in BOTH files
-is compared. Refuses (exit 1) to diff artifacts whose configuration
-identity differs — numeric backend or KRR training mode
-("backend"/"training_mode" in bench_serving summaries,
-"context.sy_num_backend"/"context.sy_training_mode" in Google Benchmark
-output) — a mode change is not a regression.
+Understands the bench_batch_training summary, bench_scenarios artifacts,
+and Google Benchmark --benchmark_out documents (a "benchmarks" array:
+per-benchmark real_time of same-named iteration entries diff as latency
+metrics, so same-backend pairs of bench_micro_krr artifacts — e.g.
+yesterday's BENCH_micro_krr_avx512.json against today's — gate directly).
+Every known metric present in BOTH files is compared. Refuses (exit 1) to
+diff artifacts whose configuration identity differs — numeric backend or
+KRR training mode ("context.sy_num_backend"/"context.sy_training_mode" in
+Google Benchmark output), or the scenario — a mode change is not a
+regression.
 
 Metric categories:
   throughput  higher is better; a drop beyond --threshold (default 20%)
               fails the run.
-  latency     lower is better; sourced from the serving stack's obs
-              histograms (latency_ms / enroll_latency_ms percentiles). By
+  latency     lower is better; sourced from obs histograms
+              (enroll_latency_ms percentiles, scenario score latencies). By
               default these only warn — they are noisier on shared CI
               runners — but passing --latency-threshold gates them: a rise
               beyond that fraction fails the run.
-  info        lower is better, never gated (recovery timings and other
-              once-per-run wall-clock measurements).
+  info        lower is better, never gated (maxima and other noisy
+              once-per-run measurements).
 
 Matrix mode (--matrix) diffs two DIRECTORIES of bench_scenarios artifacts
 (BENCH_scenarios_*.json): files pair up by their "scenario" value, every
@@ -48,24 +47,12 @@ import sys
 # "throughput" (gated by --threshold), "latency" (gated by
 # --latency-threshold when given, warn-only otherwise), "info" (never gated).
 METRICS = [
-    ("events_per_second", "scoring throughput (events/s)", "throughput"),
-    ("enroll_users_per_second", "enrollment throughput (users/s)",
-     "throughput"),
+    # bench_batch_training summary.
     ("speedup", "batched training speedup", "throughput"),
-    ("enroll_heavy.speedup_vs_full_remerge",
-     "incremental snapshot speedup vs full re-merge", "throughput"),
-    ("enroll_heavy.buckets_copied_per_rebuild_avg",
-     "buckets copied per rebuild (avg)", "latency"),
-    ("latency_ms.p50", "scoring latency p50 (ms)", "latency"),
-    ("latency_ms.p95", "scoring latency p95 (ms)", "latency"),
-    ("latency_ms.p99", "scoring latency p99 (ms)", "latency"),
-    ("latency_ms.max", "scoring latency max (ms)", "info"),
     ("enroll_latency_ms.p50", "enroll latency p50 (ms)", "latency"),
     ("enroll_latency_ms.p95", "enroll latency p95 (ms)", "latency"),
     ("enroll_latency_ms.p99", "enroll latency p99 (ms)", "latency"),
     ("enroll_latency_ms.max", "enroll latency max (ms)", "info"),
-    ("persist.recovery_seconds", "restart recovery (s)", "info"),
-    ("recovery.seconds", "recover-only startup (s)", "info"),
     # bench_scenarios artifacts (summary object, one file per scenario).
     # Security-quality metrics where lower is better ride the latency
     # category; accept rates and throughputs gate like throughput.
@@ -102,12 +89,10 @@ def lookup(doc, dotted):
 
 # Configuration identity keys: timings from different numeric backends or
 # KRR training modes measure different code paths, so diffing them would
-# "detect" a regression that is really a configuration change. Covers both
-# the bench_serving summary shape (top-level keys) and the Google Benchmark
-# --benchmark_out shape (under "context", where custom context entries land).
+# "detect" a regression that is really a configuration change. The Google
+# Benchmark --benchmark_out shape carries them under "context", where custom
+# context entries land.
 IDENTITY_KEYS = [
-    "training_mode",
-    "backend",
     "context.sy_training_mode",
     "context.sy_num_backend",
     # bench_scenarios: two different scenarios measure different campaigns.

@@ -1,16 +1,23 @@
 #include "analysis/scenarios.h"
 
+#include <poll.h>
+#include <sys/prctl.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
+#include <future>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 
 #include "analysis/corpus.h"
@@ -24,6 +31,7 @@
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 namespace sy::analysis {
 
@@ -147,6 +155,23 @@ obs::HistogramSnapshot diff_histogram(const obs::HistogramSnapshot& later,
   out.buckets.assign(buckets.begin(), buckets.end());
   return out;
 }
+
+// A directory under the system temp dir, removed on every exit path.
+struct TempDir {
+  std::string path;
+  explicit TempDir(const std::string& stem)
+      : path((std::filesystem::temp_directory_path() /
+              (stem + "_" + std::to_string(static_cast<long>(::getpid()))))
+                 .string()) {
+    std::filesystem::remove_all(path);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+};
 
 // --- masquerade_campaign ---------------------------------------------------
 
@@ -515,12 +540,7 @@ ScenarioResult run_disk_fault_storm(const ScenarioOptions& options) {
   ScenarioResult result;
   result.name = "disk_fault_storm";
 
-  const std::string root =
-      (std::filesystem::temp_directory_path() /
-       ("sy_storm_" + std::to_string(options.seed) + "_" +
-        std::to_string(static_cast<long>(::getpid()))))
-          .string();
-  std::filesystem::remove_all(root);
+  const TempDir root("sy_storm_" + std::to_string(options.seed));
 
   // One ChaosVolume under the whole gateway: log appends, snapshot writes
   // and bundle writes all fail together. Faulting only the log would be
@@ -530,8 +550,8 @@ ScenarioResult run_disk_fault_storm(const ScenarioOptions& options) {
   auto chaos = std::make_shared<serve::ChaosVolume>(
       std::make_shared<serve::FileVolume>(), [](std::uint64_t) {});
   serve::GatewayConfig gc;
-  gc.persist_dir = root + "/pop";
-  gc.model_dir = root + "/models";
+  gc.persist_dir = root.path + "/pop";
+  gc.model_dir = root.path + "/models";
   gc.persist_sync_every = 1;
   gc.persist_compact_threshold = 64;
   gc.breaker.failure_threshold = 2;
@@ -633,7 +653,6 @@ ScenarioResult run_disk_fault_storm(const ScenarioOptions& options) {
   }
   const bool digest_match =
       core::serialize_population(*recovered_snapshot) == live_bytes;
-  std::filesystem::remove_all(root);
 
   result.summary = {
       {"storm_requests", static_cast<double>(storm_requests)},
@@ -866,6 +885,407 @@ ScenarioResult run_overload_shed(const ScenarioOptions& options) {
   return result;
 }
 
+// --- the synthetic serving population --------------------------------------
+//
+// serving_load and crash_restart run a population far larger than the model
+// cache; they and enroll_rebuild draw users as per-user Gaussian clouds
+// instead of a synthesized corpus, so thousands of users enroll in well
+// under a second. The sizes are fixed (--smoke does not shrink them): the CI
+// gates on these runs were set against exactly this population.
+constexpr std::size_t kLoadUsers = 2000;
+constexpr std::size_t kLoadContributors = 200;
+constexpr std::size_t kLoadWindows = 8;
+constexpr std::size_t kLoadDim = 14;
+constexpr std::size_t kLoadShards = 64;
+constexpr std::size_t kLoadCacheBytes = std::size_t{2} << 20;
+constexpr std::size_t kLoadEvents = 5000;
+constexpr std::size_t kEventWindows = 4;
+// Every kDriftEvery-th event also reports drift: placed, not drawn, so
+// every run retrains.
+constexpr std::size_t kDriftEvery = 2000;
+constexpr std::uint64_t kLoadSeed = 11;
+constexpr std::size_t kOwnerWindows = 50;
+constexpr std::size_t kOwnerMinAccepts = 35;
+
+// Per-user Gaussian cloud around a stable per-user center: enough structure
+// for KRR to separate users, cheap enough for thousands of them.
+std::vector<std::vector<double>> user_windows(int user, std::size_t n,
+                                              std::uint64_t seed) {
+  util::Rng center_rng(9000 + static_cast<std::uint64_t>(user));
+  std::vector<double> center(kLoadDim);
+  for (auto& c : center) c = center_rng.uniform(-2.0, 2.0);
+  util::Rng rng(seed);
+  std::vector<std::vector<double>> out(n, center);
+  for (auto& v : out) {
+    for (auto& x : v) x = rng.gaussian(x, 0.6);
+  }
+  return out;
+}
+
+serve::GatewayConfig load_config(const std::string& root) {
+  serve::GatewayConfig gc;
+  gc.shards = kLoadShards;
+  gc.cache_bytes = kLoadCacheBytes;
+  gc.model_dir = root + "/models";
+  return gc;
+}
+
+// Contributors feed the anonymized store first; every user then enrolls
+// against that snapshot without contributing.
+void enroll_load_population(serve::AuthGateway& gateway,
+                            util::ThreadPool& pool) {
+  pool.parallel_for(kLoadContributors, [&](std::size_t u) {
+    gateway.contribute(
+        static_cast<int>(u), kStationary,
+        user_windows(static_cast<int>(u), kLoadWindows, kLoadSeed + 13 * u));
+  });
+  pool.parallel_for(kLoadUsers, [&](std::size_t u) {
+    core::VectorsByContext positives;
+    positives[kStationary] =
+        user_windows(static_cast<int>(u), kLoadWindows, kLoadSeed + 13 * u);
+    (void)gateway.enroll(static_cast<int>(u), positives,
+                         kLoadSeed + 17 * u + 1,
+                         /*contribute_positives=*/false);
+  });
+}
+
+// Owner self-check: user 0's model must accept at least kOwnerMinAccepts of
+// kOwnerWindows fresh windows of its own.
+void check_owner(ScenarioResult& result, serve::AuthGateway& gateway) {
+  std::size_t accepted = 0;
+  for (const auto& decision : gateway.score_batch(
+           0, kStationary, user_windows(0, kOwnerWindows, kLoadSeed + 99))) {
+    if (decision.accepted) ++accepted;
+  }
+  require(result, accepted >= kOwnerMinAccepts,
+          "user 0 accepts only " + std::to_string(accepted) + "/" +
+              std::to_string(kOwnerWindows) + " of its own windows");
+}
+
+// Scores events [first, first + n) of the skewed load on `pool` and returns
+// the wall time of that phase. 10% of users draw 80% of the traffic (the
+// regime where an LRU cache earns its keep), drawn from `arrivals` up front;
+// the drift future of event i lands in drifts[i / kDriftEvery].
+double score_events(serve::AuthGateway& gateway, util::ThreadPool& pool,
+                    util::Rng& arrivals, std::size_t first, std::size_t n,
+                    std::vector<std::shared_future<core::AuthModel>>& drifts) {
+  std::vector<int> users(n);
+  for (auto& user : users) {
+    const bool hot = arrivals.uniform() < 0.8;
+    const int span = static_cast<int>(hot ? kLoadUsers / 10 : kLoadUsers);
+    user = arrivals.uniform_int(0, span - 1);
+  }
+  drifts.resize((first + n + kDriftEvery - 1) / kDriftEvery);
+  util::Stopwatch timer;
+  pool.parallel_for(n, [&](std::size_t k) {
+    const std::size_t i = first + k;
+    if (i % kDriftEvery == 0) {
+      core::VectorsByContext upload;
+      upload[kStationary] =
+          user_windows(users[k], kLoadWindows, kLoadSeed + 31 * i);
+      drifts[i / kDriftEvery] = gateway.report_drift(
+          users[k], std::move(upload), kLoadSeed + 37 * i);
+    }
+    (void)gateway.score_batch(
+        users[k], kStationary,
+        user_windows(users[k], kEventWindows, kLoadSeed + 41 * i));
+  });
+  return timer.elapsed_seconds();
+}
+
+// The instrumentation block an operator reads off a loaded gateway: present
+// and populated with metrics on, and entirely zero with them off.
+void require_obs_block(ScenarioResult& result) {
+  const obs::Snapshot& m = result.metrics;
+  if (!obs::enabled()) {
+    for (const auto& [name, value] : m.counters) {
+      require(result, value == 0, "counter " + name + " moved with metrics off");
+    }
+    for (const auto& [name, histogram] : m.histograms) {
+      require(result, histogram.count == 0,
+              "histogram " + name + " recorded with metrics off");
+    }
+    return;
+  }
+  for (const char* name :
+       {"gateway.score_requests", "gateway.enrolls", "cache.hits",
+        "cache.misses", "retrain.submitted", "store.contributions"}) {
+    require(result, m.counters.count(name) > 0,
+            std::string("missing counter ") + name);
+  }
+  require(result, counter_or(m, "gateway.score_requests") > 0,
+          "gateway.score_requests is zero after the load");
+  require(result, m.gauges.count("retrain.queue_depth") > 0,
+          "missing gauge retrain.queue_depth");
+  for (const char* name :
+       {"gateway.score_ns", "gateway.enroll_ns", "gateway.score.kernel_ns",
+        "gateway.score.cache_fetch_ns", "retrain.train_ns",
+        "store.snapshot_rebuild_ns"}) {
+    const auto it = m.histograms.find(name);
+    require(result, it != m.histograms.end() && it->second.count > 0,
+            std::string("histogram missing or empty: ") + name);
+  }
+}
+
+// --- serving_load ----------------------------------------------------------
+
+ScenarioResult run_serving_load(const ScenarioOptions&) {
+  ScenarioResult result;
+  result.name = "serving_load";
+
+  const TempDir root("sy_serving_load");
+  util::ThreadPool pool;
+  serve::AuthGateway gateway(load_config(root.path), &pool);
+  enroll_load_population(gateway, pool);
+  check_owner(result, gateway);
+
+  util::Rng arrivals(kLoadSeed + 1000003);
+  std::vector<std::shared_future<core::AuthModel>> drifts;
+  const double score_s =
+      score_events(gateway, pool, arrivals, 0, kLoadEvents, drifts);
+  gateway.wait_idle();
+  std::size_t failed_retrains = 0;
+  for (const auto& drift : drifts) {
+    try {
+      (void)drift.get();
+    } catch (const std::exception&) {
+      ++failed_retrains;
+    }
+  }
+
+  result.metrics = gateway.metrics().snapshot();
+  result.summary = {
+      {"events_per_second", static_cast<double>(kLoadEvents) / score_s},
+      {"score_seconds", score_s},
+      {"retrains", static_cast<double>(drifts.size())},
+  };
+
+  require(result, failed_retrains == 0,
+          std::to_string(failed_retrains) + " drift retrain(s) failed");
+  require_obs_block(result);
+  return result;
+}
+
+// --- crash_restart ---------------------------------------------------------
+
+// The forked child: serving_load without an end, over persisted state. It
+// writes one byte to `progress_fd` once the population is enrolled and one
+// after its first scoring batch, then scores until it is killed. Only its
+// own pool runs work: the parent's pool threads do not exist after fork.
+[[noreturn]] void crash_child(const serve::GatewayConfig& gc,
+                              int progress_fd) {
+  try {
+    const char mark = 1;
+    util::ThreadPool pool;
+    serve::AuthGateway gateway(gc, &pool);
+    enroll_load_population(gateway, pool);
+    if (::write(progress_fd, &mark, 1) != 1) ::_exit(1);
+    util::Rng arrivals(kLoadSeed + 1000003);
+    std::vector<std::shared_future<core::AuthModel>> drifts;
+    for (std::size_t first = 0;; first += kLoadEvents) {
+      (void)score_events(gateway, pool, arrivals, first, kLoadEvents, drifts);
+      if (first == 0 && ::write(progress_fd, &mark, 1) != 1) ::_exit(1);
+    }
+  } catch (...) {
+  }
+  ::_exit(1);
+}
+
+// Owns the forked child: kills and reaps it, and closes the progress pipe,
+// on every exit path, so no process outlives the scenario.
+struct Child {
+  pid_t pid;
+  int progress_fd;
+  Child(pid_t child, int fd) : pid(child), progress_fd(fd) {}
+  ~Child() {
+    kill_and_reap();
+    ::close(progress_fd);
+  }
+  Child(const Child&) = delete;
+  Child& operator=(const Child&) = delete;
+  // SIGKILLs the child and returns its wait status (0 once reaped).
+  int kill_and_reap() {
+    if (pid <= 0) return 0;
+    ::kill(pid, SIGKILL);
+    int status = 0;
+    while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+    }
+    pid = -1;
+    return status;
+  }
+  // Waits (bounded) for one progress byte; false on timeout or on EOF,
+  // i.e. the child died first.
+  bool await_mark(int timeout_ms) const {
+    pollfd ready{progress_fd, POLLIN, 0};
+    int rc = 0;
+    do {
+      rc = ::poll(&ready, 1, timeout_ms);
+    } while (rc < 0 && errno == EINTR);
+    char mark = 0;
+    return rc > 0 && ::read(progress_fd, &mark, 1) == 1;
+  }
+};
+
+ScenarioResult run_crash_restart(const ScenarioOptions&) {
+  ScenarioResult result;
+  result.name = "crash_restart";
+
+  const TempDir root("sy_crash_restart");
+  serve::GatewayConfig gc = load_config(root.path);
+  gc.persist_dir = root.path + "/pop";
+  gc.persist_sync_every = 0;  // fsync only at compaction
+
+  int fds[2] = {-1, -1};
+  if (::pipe(fds) != 0) {
+    throw std::system_error(errno, std::generic_category(),
+                            "crash_restart: pipe");
+  }
+  std::fflush(nullptr);  // the child must not re-emit buffered output
+  const pid_t parent = ::getpid();
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::close(fds[0]);
+    // Die with the parent even if it is itself killed mid-scenario.
+    if (::prctl(PR_SET_PDEATHSIG, SIGKILL) != 0 || ::getppid() != parent) {
+      ::_exit(1);
+    }
+    crash_child(gc, fds[1]);
+  }
+  ::close(fds[1]);
+  if (pid < 0) {
+    ::close(fds[0]);
+    throw std::system_error(errno, std::generic_category(),
+                            "crash_restart: fork");
+  }
+  Child child(pid, fds[0]);
+
+  constexpr int kMarkTimeoutMs = 120'000;
+  const bool enrolled = child.await_mark(kMarkTimeoutMs);
+  const bool scoring = enrolled && child.await_mark(kMarkTimeoutMs);
+  const int status = child.kill_and_reap();
+  require(result,
+          scoring && WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL,
+          "the child died or stalled before its scoring loop; nothing was "
+          "killed mid-load");
+  if (!result.passed) return result;
+
+  util::Stopwatch timer;
+  serve::AuthGateway gateway(gc);
+  const double recover_s = timer.elapsed_seconds();
+  const std::size_t users = gateway.stats().recovered_users;
+  const serve::RecoveryStats& pop = gateway.population_recovery();
+  const std::uint64_t vectors = pop.snapshot_vectors + pop.replayed_vectors;
+  // Scoring a user with no bundle throws; only a full recovery has user 0.
+  if (users == kLoadUsers) check_owner(result, gateway);
+
+  result.metrics = gateway.metrics().snapshot();
+  result.summary = {
+      {"recovered_users", static_cast<double>(users)},
+      {"recovered_vectors", static_cast<double>(vectors)},
+      {"replayed_records", static_cast<double>(pop.replayed_records)},
+      {"torn_tails_dropped", static_cast<double>(pop.torn_tails_dropped)},
+      {"recovery_seconds", recover_s},
+  };
+
+  require(result, users == kLoadUsers,
+          "restart recovered " + std::to_string(users) + " of " +
+              std::to_string(kLoadUsers) + " enrolled users");
+  require(result, vectors == kLoadContributors * kLoadWindows,
+          "restart recovered " + std::to_string(vectors) + " of " +
+              std::to_string(kLoadContributors * kLoadWindows) +
+              " population vectors");
+  return result;
+}
+
+// --- enroll_rebuild --------------------------------------------------------
+
+ScenarioResult run_enroll_rebuild(const ScenarioOptions&) {
+  ScenarioResult result;
+  result.name = "enroll_rebuild";
+
+  // Every user contributes and the merged snapshot is taken right after:
+  // what per-enroll contribution does at the gateway, and the pattern that
+  // was O(users²) before rebuilds went incremental.
+  constexpr std::size_t kUsers = 10000;
+  serve::GatewayConfig gc;
+  gc.shards = kLoadShards;
+  serve::AuthGateway gateway(gc);
+  const serve::ShardedPopulationStore& store = gateway.store();
+
+  // The pre-incremental rebuild deep-copied every stored vector into a
+  // fresh map. Re-timing that exact work on evenly spaced iterations (its
+  // cost grows linearly with the store) estimates the total without keeping
+  // the old code around.
+  const std::size_t sample_every = kUsers / 64;
+  double incremental_s = 0.0;
+  double full_estimate_s = 0.0;
+  std::size_t deep_copied = 0;
+  std::uint64_t max_copied = 0;
+  auto prev = store.stats();
+  util::Stopwatch timer;
+  for (std::size_t u = 0; u < kUsers; ++u) {
+    const auto vectors =
+        user_windows(static_cast<int>(u), kLoadWindows, kLoadSeed + 13 * u);
+    timer.reset();
+    gateway.contribute(static_cast<int>(u), u % 2 == 0 ? kStationary : kMoving,
+                       vectors);
+    const auto snapshot = store.snapshot();
+    incremental_s += timer.elapsed_seconds();
+
+    const auto now = store.stats();
+    max_copied = std::max(
+        max_copied, now.snapshot_buckets_copied - prev.snapshot_buckets_copied);
+    prev = now;
+
+    if (u % sample_every == 0) {
+      timer.reset();
+      std::map<sensors::DetectedContext, std::vector<core::StoredVector>> deep;
+      for (const auto& [context, bucket] : *snapshot) {
+        auto& out = deep[context];
+        out.reserve(bucket.size());
+        for (const auto& sv : bucket) out.push_back(sv);
+        deep_copied += out.size();
+      }
+      full_estimate_s +=
+          timer.elapsed_seconds() * static_cast<double>(sample_every);
+    }
+  }
+
+  const auto stats = store.stats();
+  const double speedup =
+      incremental_s > 0.0 ? full_estimate_s / incremental_s : 0.0;
+  result.metrics = gateway.metrics().snapshot();
+  result.summary = {
+      {"users", static_cast<double>(kUsers)},
+      {"incremental_seconds", incremental_s},
+      {"full_remerge_seconds_estimated", full_estimate_s},
+      {"speedup_vs_full_remerge", speedup},
+      {"rebuilds", static_cast<double>(stats.snapshot_rebuilds)},
+      {"buckets_copied_per_rebuild_avg",
+       static_cast<double>(stats.snapshot_buckets_copied) /
+           static_cast<double>(
+               std::max<std::uint64_t>(1, stats.snapshot_rebuilds))},
+      {"buckets_copied_per_rebuild_max", static_cast<double>(max_copied)},
+      {"sampled_vectors_deep_copied", static_cast<double>(deep_copied)},
+  };
+
+  // One contribution lands between consecutive snapshots, so every rebuild
+  // must re-merge exactly one bucket: more means rebuild work scales with
+  // something other than the delta. The store counts through the registry,
+  // so with metrics off the bucket check has nothing to read.
+  if (obs::enabled()) {
+    require(result, stats.snapshot_rebuilds == kUsers,
+            "a snapshot after a contribution did not rebuild");
+  }
+  require(result, max_copied <= 1,
+          "a rebuild copied " + std::to_string(max_copied) +
+              " buckets for a 1-contribution delta");
+  require(result, speedup >= 10.0,
+          "incremental rebuild only " + std::to_string(speedup) +
+              "x over a full re-merge (gate: 10x)");
+  return result;
+}
+
 }  // namespace
 
 const std::vector<std::string>& scenario_names() {
@@ -876,6 +1296,9 @@ const std::vector<std::string>& scenario_names() {
       "flash_crowd",
       "disk_fault_storm",
       "overload_shed",
+      "serving_load",
+      "crash_restart",
+      "enroll_rebuild",
   };
   return names;
 }
@@ -888,6 +1311,9 @@ ScenarioResult run_scenario(const std::string& name,
   if (name == "flash_crowd") return run_flash_crowd(options);
   if (name == "disk_fault_storm") return run_disk_fault_storm(options);
   if (name == "overload_shed") return run_overload_shed(options);
+  if (name == "serving_load") return run_serving_load(options);
+  if (name == "crash_restart") return run_crash_restart(options);
+  if (name == "enroll_rebuild") return run_enroll_rebuild(options);
   throw std::invalid_argument("unknown scenario: " + name);
 }
 

@@ -33,6 +33,20 @@
 //                        must shed as kDeadline, and the p99 of ACCEPTED
 //                        requests must stay within 2x of the unloaded
 //                        baseline.
+//   serving_load         2,000 synthetic users behind a 2 MB model cache,
+//                        5,000 skewed score events with drift retrains; the
+//                        owner must still be accepted, every retrain must
+//                        land, and the metric block must be complete with
+//                        instrumentation on and all zero with it off.
+//   crash_restart        the same load in a forked child, SIGKILLed
+//                        mid-scoring; a fresh gateway over its directories
+//                        must recover every user and population vector.
+//   enroll_rebuild       10,000 alternating contribute/snapshot calls: each
+//                        rebuild copies at most one bucket and beats a full
+//                        deep re-merge by >= 10x.
+//
+// The first six size themselves from ScenarioOptions; the last three run
+// fixed presets, so --smoke does not shrink them.
 //
 // Each scenario returns a ScenarioResult with an ordered numeric summary,
 // its pass/fail invariants, and the gateway's full metric snapshot;

@@ -4,6 +4,7 @@
 
 #include "core/approx_training.h"
 #include "ml/dataset.h"
+#include "util/thread_pool.h"
 
 namespace sy::core {
 
@@ -161,6 +162,60 @@ AuthModel AuthServer::train_user_model(int user_token,
 
   simulate_transfer(model_download_bytes(model), /*upload=*/false);
   return model;
+}
+
+std::vector<AuthModel> AuthServer::train_user_models(
+    std::span<const EnrollmentRequest> requests, util::ThreadPool* pool) {
+  if (!net_.available) {
+    throw NetworkUnavailableError("AuthServer: network unavailable");
+  }
+  for (const auto& request : requests) {
+    if (request.positives == nullptr || request.positives->empty()) {
+      throw std::invalid_argument(
+          "AuthServer: request without positive vectors");
+    }
+  }
+
+  // Uploads are accounted up front (request order), matching the sequential
+  // path where the upload happens before — and survives — a failed training.
+  for (const auto& request : requests) {
+    simulate_transfer(upload_bytes(*request.positives), /*upload=*/true);
+  }
+
+  // Immutable snapshot shared (lock-free) by every worker.
+  const std::shared_ptr<const PopulationStore> snapshot = store_->snapshot();
+  std::vector<AuthModel> models(requests.size());
+
+  // Approximate modes: build the shared per-context statistics once, before
+  // the fan-out, so workers hit the cache instead of racing to build under
+  // its lock. One (context, dim) pair per batch is the common case.
+  if (config_.krr.mode != ml::TrainingMode::kExact) {
+    for (const auto& request : requests) {
+      for (const auto& [context, pos_vectors] : *request.positives) {
+        if (pos_vectors.empty()) continue;
+        const auto it = snapshot->find(context);
+        if (it == snapshot->end() || it->second.empty()) continue;
+        approx_cache_->get(context, it->second, pos_vectors.front().size(),
+                           config_.krr);
+      }
+    }
+  }
+
+  util::ThreadPool& workers =
+      pool != nullptr ? *pool : util::ThreadPool::shared();
+  workers.parallel_for(requests.size(), [&](std::size_t i) {
+    const EnrollmentRequest& request = requests[i];
+    util::Rng rng(request.rng_seed);
+    models[i] = train_user_from_store(*snapshot, config_, request.user_token,
+                                      *request.positives, rng, request.version,
+                                      approx_cache_.get());
+  });
+
+  // Deterministic download accounting: request order, after the join.
+  for (const auto& model : models) {
+    simulate_transfer(model_download_bytes(model), /*upload=*/false);
+  }
+  return models;
 }
 
 std::size_t AuthServer::store_size(sensors::DetectedContext context) const {

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -20,6 +21,10 @@
 #include "ml/krr.h"
 #include "sensors/types.h"
 #include "util/rng.h"
+
+namespace sy::util {
+class ThreadPool;
+}
 
 namespace sy::core {
 
@@ -50,15 +55,15 @@ struct NetworkUnavailableError : std::runtime_error {
 };
 
 // Accounts one simulated transfer against `stats` using the latency/bandwidth
-// network model; shared by AuthServer and BatchAuthServer. Throws
+// network model; shared by AuthServer and serve::AuthGateway. Throws
 // NetworkUnavailableError when the network is down — a transfer over a dead
 // link must never silently succeed.
 void apply_transfer(TransferStats& stats, const NetworkConfig& net,
                     std::size_t bytes, bool upload);
 
 // Wire sizes of the two transfer payloads (8 bytes per double), shared by
-// AuthServer, BatchAuthServer, and serve::AuthGateway so the simulated
-// accounting can never drift between them.
+// AuthServer and serve::AuthGateway so the simulated accounting can never
+// drift between them.
 std::size_t upload_bytes(const VectorsByContext& positives);
 std::size_t model_download_bytes(const AuthModel& model);
 
@@ -73,9 +78,9 @@ struct TrainingConfig {
 // structure whose snapshots share immutable vector blocks instead of
 // deep-copying them.
 
-// Contribution/snapshot backend behind AuthServer and BatchAuthServer.
+// Contribution/snapshot backend behind AuthServer.
 // Implementations choose their own synchronization contract:
-// CowPopulationStore (below) keeps the servers' historical
+// CowPopulationStore (below) keeps the server's historical
 // externally-synchronized single-map behavior; serve::ShardedPopulationStore
 // is internally synchronized and scales contribution across shards.
 class PopulationStoreBackend {
@@ -121,9 +126,9 @@ class CowPopulationStore final : public PopulationStoreBackend {
 class ApproxStatsCache;
 
 // Trains one user's per-context model bundle against an immutable store
-// snapshot. This is the single training kernel shared by AuthServer
-// (sequential) and BatchAuthServer (threaded): given the same store, request,
-// and RNG state both produce bit-identical models. Throws std::runtime_error
+// snapshot. This is the single training kernel behind AuthServer's
+// sequential and batched paths: given the same store, request, and RNG
+// state both produce bit-identical models. Throws std::runtime_error
 // when the store lacks impostor data for a requested context.
 //
 // When config.krr.mode is kNystrom or kRff this routes to the approximate
@@ -138,6 +143,21 @@ AuthModel train_user_from_store(const PopulationStore& store,
                                 util::Rng& rng, int version,
                                 ApproxStatsCache* stats_cache = nullptr);
 
+// One enrollment in an AuthServer::train_user_models batch.
+struct EnrollmentRequest {
+  int user_token{0};
+  // Not owned; must outlive train_user_models().
+  const VectorsByContext* positives{nullptr};
+  // Per-request stream seed: makes each user's impostor draw independent of
+  // batch composition and scheduling order.
+  std::uint64_t rng_seed{0};
+  int version{1};
+};
+
+// Thread-safety contract: the public methods are externally synchronized
+// (one caller at a time); the internal parallelism is across workers inside
+// train_user_models. Inject a serve::ShardedPopulationStore backend for
+// internally-synchronized, concurrent contribution.
 class AuthServer {
  public:
   // `store` is the contribution/snapshot backend; null means a private
@@ -159,6 +179,19 @@ class AuthServer {
   // data for a context.
   AuthModel train_user_model(int user_token, const VectorsByContext& positives,
                              util::Rng& rng, int version = 1);
+
+  // Batched enrollment (population scale): trains every request on `pool`
+  // (null = ThreadPool::shared()) against one store snapshot; result[i]
+  // corresponds to requests[i]. Each request seeds its own Rng, so a batch of
+  // one is train_user_model with Rng(rng_seed), bit for bit, whatever the
+  // scheduling. Network and empty-positives errors throw before any work;
+  // otherwise the first per-request training failure is rethrown once the
+  // batch has drained. Uploads are accounted in request order before
+  // training and downloads in request order after the join, so
+  // TransferStats are deterministic too.
+  std::vector<AuthModel> train_user_models(
+      std::span<const EnrollmentRequest> requests,
+      util::ThreadPool* pool = nullptr);
 
   // Public transfer accounting for out-of-band flows (the async retrain
   // bridge uploads drift windows and downloads the finished model around the
@@ -182,7 +215,8 @@ class AuthServer {
   TransferStats transfers_;
   std::shared_ptr<PopulationStoreBackend> store_;
   // Shared approximate-training statistics, reused across train calls while
-  // the snapshot prefix is unchanged. Untouched in exact mode.
+  // the snapshot prefix is unchanged; train_user_models prewarms it per
+  // (context, dim) before fanning out. Untouched in exact mode.
   std::shared_ptr<ApproxStatsCache> approx_cache_;
 };
 

@@ -42,7 +42,7 @@
 namespace sy::ml {
 
 // The KRR training-mode knob wired through core::TrainingConfig ->
-// BatchAuthServer / serve::AuthGateway. kExact is the default and keeps the
+// core::AuthServer / serve::AuthGateway. kExact is the default and keeps the
 // historical dual/primal paths bit-identical.
 enum class TrainingMode : int { kExact = 0, kNystrom = 1, kRff = 2 };
 

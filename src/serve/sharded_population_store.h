@@ -179,7 +179,7 @@ class ShardedPopulationStore final : public core::PopulationStoreBackend {
     /// Merged context buckets re-concatenated because a contribution touched
     /// their context since the last rebuild. This is the O(delta) evidence:
     /// it grows with contexts-touched-per-rebuild, never with store size
-    /// (bench_serving --enroll-heavy gates on it).
+    /// (the enroll_rebuild scenario gates on it).
     std::uint64_t snapshot_buckets_copied{0};
     /// Merged context buckets reused wholesale from the previous snapshot
     /// (one pointer copy, no block-list traversal).

@@ -3,12 +3,21 @@
 #include "analysis/scenarios.h"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <filesystem>
 #include <stdexcept>
 
 namespace sy::analysis {
 namespace {
+
+std::string first_failure(const ScenarioResult& result) {
+  return result.failures.empty() ? std::string("(no failures recorded)")
+                                 : result.failures.front();
+}
 
 // Smallest options that still exercise the full path: corpus build, gateway
 // enrollment, live scoring. Shared across tests to keep the suite fast.
@@ -28,13 +37,16 @@ ScenarioOptions tiny_options() {
 
 TEST(Scenarios, RegistryListsTheCanonicalMatrix) {
   const auto& names = scenario_names();
-  ASSERT_EQ(names.size(), 6u);
+  ASSERT_EQ(names.size(), 9u);
   EXPECT_EQ(names[0], "masquerade_campaign");
   EXPECT_EQ(names[1], "pickup_moment");
   EXPECT_EQ(names[2], "behavioral_drift");
   EXPECT_EQ(names[3], "flash_crowd");
   EXPECT_EQ(names[4], "disk_fault_storm");
   EXPECT_EQ(names[5], "overload_shed");
+  EXPECT_EQ(names[6], "serving_load");
+  EXPECT_EQ(names[7], "crash_restart");
+  EXPECT_EQ(names[8], "enroll_rebuild");
   EXPECT_THROW(run_scenario("no_such_scenario", tiny_options()),
                std::invalid_argument);
 }
@@ -85,9 +97,7 @@ TEST(Scenarios, DiskFaultStormKeepsServingAndLosesNothing) {
   // The scenario's own invariants are the assertions: mid-storm scoring
   // never failed, every contribution was acked, the breaker opened and
   // re-closed, and the fresh-store recovery matched byte for byte.
-  EXPECT_TRUE(result.passed) << (result.failures.empty()
-                                     ? std::string("(no failures recorded)")
-                                     : result.failures.front());
+  EXPECT_TRUE(result.passed) << first_failure(result);
   EXPECT_GT(result.summary_value("records_deferred"), 0.0);
   EXPECT_EQ(result.summary_value("digest_match"), 1.0);
   EXPECT_EQ(result.summary_value("recovered_contributions"),
@@ -101,9 +111,7 @@ TEST(Scenarios, OverloadShedRejectsWithTypedErrorsAndHoldsP99) {
   options.overload_requests_per_thread = 25;
   const ScenarioResult result = run_scenario("overload_shed", options);
   EXPECT_EQ(result.name, "overload_shed");
-  EXPECT_TRUE(result.passed) << (result.failures.empty()
-                                     ? std::string("(no failures recorded)")
-                                     : result.failures.front());
+  EXPECT_TRUE(result.passed) << first_failure(result);
   EXPECT_GT(result.summary_value("shed_requests"), 0.0);
   EXPECT_GT(result.summary_value("probe_shed"), 0.0);
   EXPECT_EQ(result.summary_value("shed_deadline"), 1.0);
@@ -115,6 +123,50 @@ TEST(Scenarios, OverloadShedRejectsWithTypedErrorsAndHoldsP99) {
             result.summary_value("issued_requests"));
   EXPECT_GE(result.metrics.counters.at("gateway.admission.shed_saturated"),
             1u);
+}
+
+TEST(Scenarios, ServingLoadPassesWithMetricsOnAndOff) {
+  // The fixed preset ignores the options; the invariants (owner accepted,
+  // every drift retrain landed, metric block complete) are the assertions.
+  const ScenarioResult on = run_scenario("serving_load", tiny_options());
+  EXPECT_TRUE(on.passed) << first_failure(on);
+  EXPECT_EQ(on.summary_value("retrains"), 3.0);
+  EXPECT_GT(on.metrics.histograms.at("retrain.train_ns").count, 0u);
+
+  // The runtime kill switch: same load, and every counter and histogram
+  // must read zero.
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(false);
+  const ScenarioResult off = run_scenario("serving_load", tiny_options());
+  obs::set_enabled(was_enabled);
+  EXPECT_TRUE(off.passed) << first_failure(off);
+  EXPECT_EQ(off.metrics.counters.at("gateway.score_requests"), 0u);
+}
+
+TEST(Scenarios, CrashRestartRecoversEveryUserAndLeavesNothingBehind) {
+#if defined(__SANITIZE_THREAD__)
+  // TSan aborts the child of a multi-threaded fork once it starts threads.
+  GTEST_SKIP() << "fork-then-thread child is unsupported under TSan";
+#endif
+  const ScenarioResult result = run_scenario("crash_restart", tiny_options());
+  EXPECT_TRUE(result.passed) << first_failure(result);
+  EXPECT_EQ(result.summary_value("recovered_users"), 2000.0);
+  EXPECT_EQ(result.summary_value("recovered_vectors"), 1600.0);
+  // The child's directories (model bundles, population logs) are gone...
+  EXPECT_FALSE(std::filesystem::exists(
+      std::filesystem::temp_directory_path() /
+      ("sy_crash_restart_" + std::to_string(::getpid()))));
+  // ...and the killed child was reaped: this process has no children left.
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+}
+
+TEST(Scenarios, EnrollRebuildCopiesOneBucketPerRebuild) {
+  const ScenarioResult result = run_scenario("enroll_rebuild", tiny_options());
+  EXPECT_EQ(result.summary_value("rebuilds"), 10000.0);
+  EXPECT_LE(result.summary_value("buckets_copied_per_rebuild_max", 2.0), 1.0);
+  EXPECT_EQ(result.metrics.counters.at("store.contributions"), 10000u);
 }
 
 TEST(Scenarios, JsonArtifactCarriesTheMatrixSchema) {

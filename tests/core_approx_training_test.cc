@@ -15,7 +15,7 @@
 #include <filesystem>
 #include <vector>
 
-#include "core/batch_auth_server.h"
+#include "core/auth_server.h"
 #include "core/model_store.h"
 #include "serve/auth_gateway.h"
 #include "util/rng.h"
@@ -217,13 +217,13 @@ TEST(ApproxTraining, BatchOfOneBitIdenticalToSequential) {
     const AuthModel sequential = train_user_from_store(
         *store->snapshot(), config, 1, positives, rng, 1);
 
-    // Batch of one through BatchAuthServer (threaded path + prewarm).
-    BatchAuthServer server(config, NetworkConfig{}, &pool, store);
+    // Batch of one through train_user_models (threaded path + prewarm).
+    AuthServer server(config, NetworkConfig{}, store);
     EnrollmentRequest request;
     request.user_token = 1;
     request.positives = &positives;
     request.rng_seed = 123;
-    const auto models = server.train_user_models({&request, 1});
+    const auto models = server.train_user_models({&request, 1}, &pool);
     ASSERT_EQ(models.size(), 1u);
     EXPECT_EQ(model_bits(models[0], kStationary),
               model_bits(sequential, kStationary))

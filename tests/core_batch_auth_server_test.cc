@@ -1,11 +1,12 @@
-#include "core/batch_auth_server.h"
-
+// AuthServer::train_user_models: batched enrollment on a thread pool must
+// reproduce the sequential train_user_model path bit for bit.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/auth_server.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace sy::core {
 namespace {
@@ -43,8 +44,7 @@ struct Fixture {
     }
   }
 
-  template <typename Server>
-  void contribute_all(Server& server) const {
+  void contribute_all(AuthServer& server) const {
     for (std::size_t u = 0; u < positives.size(); ++u) {
       for (const auto& [context, vectors] : positives[u]) {
         server.contribute(static_cast<int>(u), context, vectors);
@@ -65,60 +65,54 @@ void expect_models_identical(const AuthModel& a, const AuthModel& b) {
   }
 }
 
-TEST(BatchAuthServer, BatchOfOneBitIdenticalToSequentialPath) {
+TEST(AuthServerBatch, BatchOfOneBitIdenticalToSequentialPath) {
   const Fixture f(3);
-  AuthServer sequential;
-  BatchAuthServer batched;
-  f.contribute_all(sequential);
-  f.contribute_all(batched);
+  AuthServer server;
+  f.contribute_all(server);
 
   util::Rng rng(f.requests[1].rng_seed);
-  const AuthModel seq = sequential.train_user_model(
-      f.requests[1].user_token, f.positives[1], rng, 1);
-  const auto batch = batched.train_user_models(
+  const AuthModel seq =
+      server.train_user_model(f.requests[1].user_token, f.positives[1], rng, 1);
+  const auto batch = server.train_user_models(
       std::span<const EnrollmentRequest>(&f.requests[1], 1));
   ASSERT_EQ(batch.size(), 1u);
   expect_models_identical(seq, batch[0]);
 }
 
-TEST(BatchAuthServer, BatchMatchesSequentialForEveryUser) {
+TEST(AuthServerBatch, BatchMatchesSequentialForEveryUser) {
   // Same seeds => identical weights regardless of worker scheduling.
   const Fixture f(8);
-  AuthServer sequential;
-  BatchAuthServer batched;
-  f.contribute_all(sequential);
-  f.contribute_all(batched);
+  AuthServer server;
+  f.contribute_all(server);
 
-  const auto batch = batched.train_user_models(f.requests);
+  const auto batch = server.train_user_models(f.requests);
   ASSERT_EQ(batch.size(), f.requests.size());
   for (std::size_t u = 0; u < f.requests.size(); ++u) {
     util::Rng rng(f.requests[u].rng_seed);
-    const AuthModel seq = sequential.train_user_model(
+    const AuthModel seq = server.train_user_model(
         f.requests[u].user_token, f.positives[u], rng, 1);
     expect_models_identical(seq, batch[u]);
   }
 }
 
-TEST(BatchAuthServer, OversubscribedPoolStillDeterministic) {
+TEST(AuthServerBatch, OversubscribedPoolStillDeterministic) {
   // A dedicated pool with more workers than cores forces genuine
   // interleaving even on small machines; per-request seeds must keep the
   // result independent of scheduling.
   const Fixture f(8);
   util::ThreadPool pool(8);
-  BatchAuthServer threaded({}, {}, &pool);
-  BatchAuthServer reference;
-  f.contribute_all(threaded);
-  f.contribute_all(reference);
-  const auto a = threaded.train_user_models(f.requests);
-  const auto b = reference.train_user_models(f.requests);
+  AuthServer server;
+  f.contribute_all(server);
+  const auto a = server.train_user_models(f.requests, &pool);
+  const auto b = server.train_user_models(f.requests);
   for (std::size_t u = 0; u < f.requests.size(); ++u) {
     expect_models_identical(a[u], b[u]);
   }
 }
 
-TEST(BatchAuthServer, RepeatedBatchesAreDeterministic) {
+TEST(AuthServerBatch, RepeatedBatchesAreDeterministic) {
   const Fixture f(4);
-  BatchAuthServer server;
+  AuthServer server;
   f.contribute_all(server);
   const auto first = server.train_user_models(f.requests);
   const auto second = server.train_user_models(f.requests);
@@ -127,11 +121,11 @@ TEST(BatchAuthServer, RepeatedBatchesAreDeterministic) {
   }
 }
 
-TEST(BatchAuthServer, ContributeAfterTrainingDoesNotPerturbPastResults) {
+TEST(AuthServerBatch, ContributeAfterTrainingDoesNotPerturbPastResults) {
   // Growing the store between batches is safe and only affects later
   // batches; earlier results are untouched objects.
   Fixture f(3);
-  BatchAuthServer server;
+  AuthServer server;
   f.contribute_all(server);
   const auto before = server.train_user_models(f.requests);
 
@@ -146,9 +140,9 @@ TEST(BatchAuthServer, ContributeAfterTrainingDoesNotPerturbPastResults) {
   ASSERT_EQ(after.size(), before.size());
 }
 
-TEST(BatchAuthServer, ThrowsWhenNetworkUnavailable) {
+TEST(AuthServerBatch, ThrowsWhenNetworkUnavailable) {
   const Fixture f(2);
-  BatchAuthServer server;
+  AuthServer server;
   f.contribute_all(server);
   NetworkConfig net;
   net.available = false;
@@ -156,18 +150,18 @@ TEST(BatchAuthServer, ThrowsWhenNetworkUnavailable) {
   EXPECT_THROW(server.train_user_models(f.requests), std::runtime_error);
 }
 
-TEST(BatchAuthServer, ThrowsWhenContextHasNoImpostorData) {
+TEST(AuthServerBatch, ThrowsWhenContextHasNoImpostorData) {
   // A single contributor cannot train: every candidate negative is theirs.
   Fixture f(1);
-  BatchAuthServer server;
+  AuthServer server;
   f.contribute_all(server);
   EXPECT_THROW(server.train_user_models(f.requests), std::runtime_error);
 }
 
-TEST(BatchAuthServer, TransferAccountingIsDeterministic) {
+TEST(AuthServerBatch, TransferAccountingIsDeterministic) {
   const Fixture f(4);
-  BatchAuthServer a;
-  BatchAuthServer b;
+  AuthServer a;
+  AuthServer b;
   f.contribute_all(a);
   f.contribute_all(b);
   (void)a.train_user_models(f.requests);

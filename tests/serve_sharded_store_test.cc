@@ -9,7 +9,6 @@
 #include <set>
 
 #include "core/auth_server.h"
-#include "core/batch_auth_server.h"
 #include "util/rng.h"
 
 namespace sy::serve {
@@ -215,9 +214,9 @@ TEST(ShardedPopulationStore, BucketsCopiedTracksDeltaNotStoreSize) {
   EXPECT_EQ(sharded.stats().snapshot_buckets_shared, 1u);
 }
 
-TEST(ShardedPopulationStore, WorksAsBatchAuthServerBackend) {
+TEST(ShardedPopulationStore, WorksAsBatchTrainingBackend) {
   auto backend = std::make_shared<ShardedPopulationStore>(4);
-  core::BatchAuthServer server({}, {}, nullptr, backend);
+  core::AuthServer server({}, {}, backend);
   util::Rng data_rng(36);
   std::vector<core::VectorsByContext> positives(4);
   std::vector<core::EnrollmentRequest> requests(4);
