@@ -173,10 +173,10 @@ double KrrClassifier::decision(std::span<const double> x) const {
   if (weights_) {
     return dot(*weights_, x);
   }
-  // Route the dual path through the batch reduction so a single window
-  // scores bit-identically to the same window inside any batch, on every
-  // backend (the Authenticator batch-vs-single contract). On the scalar
-  // backend this is the same ascending-i accumulation as the historical
+  // The dual path is a one-row decision_batch, so a single window scores
+  // bit-identically to the same window inside any batch, on every backend
+  // (the Authenticator batch-vs-single contract). On the scalar backend this
+  // is the same ascending-i accumulation as the historical
   // dot(alpha_, kernel_vector(...)).
   Matrix one(1, x.size());
   std::copy(x.begin(), x.end(), one.row(0).begin());
@@ -201,14 +201,15 @@ std::vector<double> KrrClassifier::decision_batch(const Matrix& x) const {
     for (std::size_t i = 0; i < x.rows(); ++i) out[i] = dot(*weights_, x.row(i));
     return out;
   }
-  // One blocked cross-kernel build amortizes the train_x_ streaming across
-  // all windows. The alpha reduction runs as contiguous row axpys; each
-  // column still accumulates alpha_[i] * k(i, j) in ascending i, matching
-  // dot(alpha_, k) on the scalar backend.
-  const Matrix k = kernel_matrix(train_x_, x, config_.kernel);
-  for (std::size_t i = 0; i < k.rows(); ++i) {
-    num::axpy(alpha_[i], k.row(i), out);
-  }
+  // One windows x training kernel block: each fused row-kernel call covers a
+  // 64-row tile of train_x_, whatever the batch size. Entry (j, i) has the
+  // bits of k(train_i, x_j) because (a-b)^2 == (b-a)^2 lane by lane. Each
+  // window's score is then one serial chain over alpha_ in ascending i with
+  // the backend's axpy operation, so it depends on neither the batch size
+  // nor the window's position in the batch.
+  const Matrix k = kernel_matrix(x, train_x_, config_.kernel);
+  num::serial_dot_rows(k.data().data(), k.rows(), k.cols(), alpha_.data(),
+                       alpha_.size(), out.data());
   return out;
 }
 

@@ -62,10 +62,13 @@ class KrrClassifier final : public BinaryClassifier {
   explicit KrrClassifier(KrrConfig config = {});
 
   void fit(const Matrix& x, const std::vector<int>& y) override;
+  // One window's score. The dual path runs as a one-row decision_batch.
   double decision(std::span<const double> x) const override;
-  // Batched scoring: one blocked cross-kernel build (dual) or row-wise dot
-  // (primal) for all windows at once; row i equals decision(x.row(i))
-  // bit-for-bit.
+  // Batched scoring; row i equals decision(x.row(i)) bit for bit on every
+  // backend. Dual: one windows x training kernel block (kernel_matrix(x,
+  // train)), each row reduced against alpha by num::serial_dot_rows, one
+  // serial chain in ascending training index. Primal: a row-wise dot.
+  // Approximate: a row-wise map and dot.
   std::vector<double> decision_batch(const Matrix& x) const override;
   std::string name() const override;
   std::unique_ptr<BinaryClassifier> clone_untrained() const override;

@@ -2,8 +2,8 @@
 /// Runtime CPU dispatch for the numeric kernel layer.
 ///
 /// src/num/ owns the hot numeric kernels (dot, squared_distance, axpy, the
-/// fused RBF row kernel, the RFF transform row, and the blocked Cholesky
-/// factorization) behind a process-wide backend selector. The scalar backend
+/// serial row sums, the fused RBF row kernel, the RFF transform row, and the
+/// blocked Cholesky factorization) behind a process-wide backend selector. The scalar backend
 /// is the bit-exact reference: it performs exactly the operation sequence of
 /// the historical hand-written loops in ml/ and signal/, so results on
 /// kScalar are bit-identical to the pre-num:: code. The SIMD backends (AVX2,

@@ -58,6 +58,22 @@ void axpy(double alpha, std::span<const double> x, std::span<double> y) {
   scalar::axpy(alpha, x, y);
 }
 
+void serial_dot_rows(const double* rows, std::size_t n_rows,
+                     std::size_t stride, const double* w, std::size_t n,
+                     double* out) {
+  switch (active_backend()) {
+    case Backend::kAvx512:
+      avx512::serial_dot_rows(rows, n_rows, stride, w, n, out);
+      return;
+    case Backend::kAvx2:
+      avx2::serial_dot_rows(rows, n_rows, stride, w, n, out);
+      return;
+    case Backend::kScalar:
+      break;
+  }
+  scalar::serial_dot_rows(rows, n_rows, stride, w, n, out);
+}
+
 void rbf_row_kernel(const double* rows, std::size_t n_rows, std::size_t stride,
                     const double* center, std::size_t dim, double gamma,
                     double* out) {

@@ -47,6 +47,18 @@ double dot_sub(double init, std::span<const double> a,
 /// `y += alpha * x` (element-wise, ascending index order).
 void axpy(double alpha, std::span<const double> x, std::span<double> y);
 
+/// Weighted row sums `out[r] = sum_i w[i] * rows_r[i]` for `n_rows`
+/// row-major rows of length `n`, consecutive rows `stride` doubles apart.
+/// Each row is one serial chain from +0.0 in ascending i, and each step is
+/// the active backend's axpy operation (scalar `acc + w[i] * rows_r[i]`,
+/// avx2/avx512 `fma(w[i], rows_r[i], acc)`). So out[r] equals, bit for bit,
+/// entry r of a zeroed vector after `axpy(w[i], column i, out)` for i = 0,
+/// 1, ..., n - 1, and it does not depend on n_rows or on the row's position
+/// in the block. Rows are interleaved only to overlap their chains' latency.
+void serial_dot_rows(const double* rows, std::size_t n_rows,
+                     std::size_t stride, const double* w, std::size_t n,
+                     double* out);
+
 /// Fused RBF row kernel: `out[i] = exp(-gamma * ||rows_i - center||^2)` for
 /// `n_rows` row-major rows of length `dim`, consecutive rows `stride`
 /// doubles apart. `gamma` must already be resolved
@@ -137,6 +149,11 @@ double dot_sub(double init, std::span<const double> a,
                std::span<const double> b);
 /// Scalar `y += alpha * x` — ascending-index element loop.
 void axpy(double alpha, std::span<const double> x, std::span<double> y);
+/// Scalar weighted row sums: per row, `acc = acc + w[i] * row[i]` in
+/// ascending i (the scalar axpy's operation).
+void serial_dot_rows(const double* rows, std::size_t n_rows,
+                     std::size_t stride, const double* w, std::size_t n,
+                     double* out);
 /// Scalar fused RBF row kernel (reference for the dispatched entry point).
 void rbf_row_kernel(const double* rows, std::size_t n_rows, std::size_t stride,
                     const double* center, std::size_t dim, double gamma,
@@ -166,6 +183,11 @@ void dot_sub4(double* dst, const double* a, const double* const b[4],
               std::size_t n);
 /// Vectorized `y += alpha * x`; remainder lanes use scalar std::fma.
 void axpy(double alpha, std::span<const double> x, std::span<double> y);
+/// Weighted row sums: per row, `acc = fma(w[i], row[i], acc)` in ascending
+/// i (the avx2 axpy's operation), four rows' chains interleaved.
+void serial_dot_rows(const double* rows, std::size_t n_rows,
+                     std::size_t stride, const double* w, std::size_t n,
+                     double* out);
 /// Quad-row fused RBF kernel (four accumulator chains + one exp4 call).
 void rbf_row_kernel(const double* rows, std::size_t n_rows, std::size_t stride,
                     const double* center, std::size_t dim, double gamma,
@@ -206,6 +228,11 @@ void dot_sub8(double* dst, const double* a, const double* const b[8],
 /// 8-lane `y += alpha * x`; the tail is a masked fused multiply-add, so
 /// every element sees the identical fma regardless of lane position.
 void axpy(double alpha, std::span<const double> x, std::span<double> y);
+/// Weighted row sums: per row, `acc = fma(w[i], row[i], acc)` in ascending
+/// i (the avx512 axpy's operation), four rows' chains interleaved.
+void serial_dot_rows(const double* rows, std::size_t n_rows,
+                     std::size_t stride, const double* w, std::size_t n,
+                     double* out);
 /// Octo-row fused RBF kernel (eight accumulator chains + one exp8 call).
 void rbf_row_kernel(const double* rows, std::size_t n_rows, std::size_t stride,
                     const double* center, std::size_t dim, double gamma,

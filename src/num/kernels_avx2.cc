@@ -233,6 +233,38 @@ SY_AVX2 void axpy(double alpha, std::span<const double> x,
   for (; i < n; ++i) y[i] = std::fma(alpha, x[i], y[i]);
 }
 
+SY_AVX2 void serial_dot_rows(const double* rows, std::size_t n_rows,
+                          std::size_t stride, const double* w, std::size_t n,
+                          double* out) {
+  // One scalar fma chain per row, the axpy's per-element operation; four
+  // chains side by side keep the fma units busy. Vectorizing across i would
+  // reassociate the sum.
+  std::size_t r = 0;
+  for (; r + 4 <= n_rows; r += 4) {
+    const double* r0 = rows + r * stride;
+    const double* r1 = r0 + stride;
+    const double* r2 = r1 + stride;
+    const double* r3 = r2 + stride;
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      a0 = std::fma(w[i], r0[i], a0);
+      a1 = std::fma(w[i], r1[i], a1);
+      a2 = std::fma(w[i], r2[i], a2);
+      a3 = std::fma(w[i], r3[i], a3);
+    }
+    out[r] = a0;
+    out[r + 1] = a1;
+    out[r + 2] = a2;
+    out[r + 3] = a3;
+  }
+  for (; r < n_rows; ++r) {
+    const double* row = rows + r * stride;
+    double acc = 0.0;
+    for (std::size_t i = 0; i < n; ++i) acc = std::fma(w[i], row[i], acc);
+    out[r] = acc;
+  }
+}
+
 namespace {
 
 // Per-row squared distance with a fixed, position-independent reduction
@@ -538,6 +570,12 @@ void dot_sub4(double* dst, const double* a, const double* const b[4],
 
 void axpy(double alpha, std::span<const double> x, std::span<double> y) {
   scalar::axpy(alpha, x, y);
+}
+
+void serial_dot_rows(const double* rows, std::size_t n_rows,
+                     std::size_t stride, const double* w, std::size_t n,
+                     double* out) {
+  scalar::serial_dot_rows(rows, n_rows, stride, w, n, out);
 }
 
 void rbf_row_kernel(const double* rows, std::size_t n_rows, std::size_t stride,

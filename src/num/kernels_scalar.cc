@@ -43,6 +43,37 @@ void axpy(double alpha, std::span<const double> x, std::span<double> y) {
   for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
 }
 
+void serial_dot_rows(const double* rows, std::size_t n_rows,
+                     std::size_t stride, const double* w, std::size_t n,
+                     double* out) {
+  // The axpy loop's `y[i] += alpha * x[i]`, turned so each output is one
+  // chain; four chains run side by side to hide the add latency.
+  std::size_t r = 0;
+  for (; r + 4 <= n_rows; r += 4) {
+    const double* r0 = rows + r * stride;
+    const double* r1 = r0 + stride;
+    const double* r2 = r1 + stride;
+    const double* r3 = r2 + stride;
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      a0 += w[i] * r0[i];
+      a1 += w[i] * r1[i];
+      a2 += w[i] * r2[i];
+      a3 += w[i] * r3[i];
+    }
+    out[r] = a0;
+    out[r + 1] = a1;
+    out[r + 2] = a2;
+    out[r + 3] = a3;
+  }
+  for (; r < n_rows; ++r) {
+    const double* row = rows + r * stride;
+    double acc = 0.0;
+    for (std::size_t i = 0; i < n; ++i) acc += w[i] * row[i];
+    out[r] = acc;
+  }
+}
+
 void rbf_row_kernel(const double* rows, std::size_t n_rows, std::size_t stride,
                     const double* center, std::size_t dim, double gamma,
                     double* out) {

@@ -5,6 +5,15 @@
 // iterative radix-2 FFT; other lengths fall back to a direct O(n^2) DFT,
 // which at n <= 800 is still microseconds — well inside the paper's 21 ms
 // end-to-end budget.
+//
+// Both paths write their complex products out as real arithmetic, in the
+// order of the finite branch of the std::complex operator (re = ar*br -
+// ai*bi, im = ar*bi + ai*br), so on finite input every output has the bits
+// the same algorithm gives in std::complex arithmetic (pinned in
+// tests/signal_dft_test). They skip that operator's Annex G recovery, which
+// only turns a (NaN, NaN) product of infinite inputs back into an infinity.
+// The FFT reads its twiddles from a per-thread table that the same
+// recurrence fills once per stage size.
 #pragma once
 
 #include <complex>

@@ -1,7 +1,9 @@
 // Authenticator + ResponseModule + ConfidenceMonitor unit behaviour.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/authenticator.h"
 #include "core/confidence.h"
@@ -83,7 +85,9 @@ TEST(Authenticator, BatchMatchesSingle) {
   for (std::size_t i = 0; i < windows.size(); ++i) {
     const auto single = auth.authenticate(windows[i]);
     EXPECT_EQ(batch[i].accepted, single.accepted);
-    EXPECT_DOUBLE_EQ(batch[i].confidence, single.confidence);
+    // Bit identity (ARCHITECTURE contract 1), not a few-ulp closeness.
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[i].confidence),
+              std::bit_cast<std::uint64_t>(single.confidence));
   }
 }
 

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 
 #include "ml/dataset.h"
+#include "num/backend.h"
+#include "num/kernels.h"
 #include "util/rng.h"
 
 namespace sy::ml {
@@ -193,6 +199,64 @@ TEST(Krr, RhoControlsShrinkage) {
     mag_b += std::abs(b.decision(x));
   }
   EXPECT_GT(mag_a, mag_b);
+}
+
+// Dual scoring as it was before the windows x training block: the
+// training x windows cross-kernel block, then one num::axpy per training
+// index in ascending order. The dual state comes from pack(): [type, gamma,
+// rho, 0, n, m, alpha..., X row-major...].
+std::vector<double> frozen_dual_decision_batch(const KrrClassifier& model,
+                                               const Matrix& x) {
+  const std::vector<double> packed = model.pack();
+  EXPECT_EQ(packed[3], 0.0) << "not a dual model";
+  const Kernel kernel{static_cast<KernelType>(packed[0]), packed[1]};
+  const auto n = static_cast<std::size_t>(packed[4]);
+  const auto m = static_cast<std::size_t>(packed[5]);
+  const double* alpha = packed.data() + 6;
+  Matrix train(n, m);
+  std::copy(alpha + n, alpha + n + n * m, train.data().begin());
+  const Matrix k = kernel_matrix(train, x, kernel);
+  std::vector<double> out(x.rows());
+  for (std::size_t i = 0; i < n; ++i) num::axpy(alpha[i], k.row(i), out);
+  return out;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(KrrBitwise, DualDecisionBatchMatchesFrozenReductionOnEveryBackend) {
+  // 202 training rows: three full 64-row kernel tiles and a remainder.
+  util::Rng rng(60);
+  const Dataset train = blobs(101, 2.0, 28, rng);
+  const Dataset probe = blobs(64, 2.0, 28, rng);
+  for (const Kernel kernel : {Kernel::rbf(), Kernel::linear()}) {
+    KrrConfig config;
+    config.kernel = kernel;
+    config.path = KrrSolvePath::kDual;
+    KrrClassifier model(config);
+    model.fit(train.x, train.y);
+    const num::Backend saved = num::active_backend();
+    for (const num::Backend backend : num::all_backends()) {
+      if (!num::backend_available(backend)) continue;
+      num::set_backend(backend);
+      for (const std::size_t m : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 128u}) {
+        std::vector<std::size_t> idx(m);
+        std::iota(idx.begin(), idx.end(), std::size_t{0});
+        const Matrix x = probe.x.select_rows(idx);
+        const std::vector<double> got = model.decision_batch(x);
+        const std::vector<double> want = frozen_dual_decision_batch(model, x);
+        ASSERT_EQ(got.size(), m);
+        for (std::size_t r = 0; r < m; ++r) {
+          EXPECT_EQ(bits(got[r]), bits(want[r]))
+              << kernel.name() << " " << num::backend_name(backend)
+              << " m=" << m << " r=" << r;
+          EXPECT_EQ(bits(model.decision(x.row(r))), bits(got[r]))
+              << kernel.name() << " " << num::backend_name(backend)
+              << " m=" << m << " r=" << r;
+        }
+      }
+    }
+    num::set_backend(saved);
+  }
 }
 
 TEST(Kernel, SymmetryAndGram) {

@@ -16,6 +16,8 @@
 //   4. Schedules — the pooled Cholesky schedules (parallel tiles,
 //      look-ahead) are BITWISE identical to the serial factorization on
 //      every backend, straddling the kCholeskyParallelRows threshold.
+//   5. Serial row sums — serial_dot_rows is BITWISE the per-backend
+//      ascending-axpy reduction it replaced in KRR scoring.
 #include "num/kernels.h"
 
 #include <gtest/gtest.h>
@@ -769,6 +771,58 @@ TEST(NumAnyBackend, RowKernelsAreBatchPositionIndependent) {
             << backend_name(backend) << " dim=" << dim << " r=" << r;
       }
     }
+  }
+  set_backend(saved);
+}
+
+TEST(NumAnyBackend, SerialDotRowsBitIdenticalToAscendingAxpy) {
+  // The reduction KRR scoring used before serial_dot_rows: a zeroed output
+  // over the batch, then one num::axpy per training index in ascending
+  // order over the training x batch block. serial_dot_rows reads the
+  // transposed (batch x training) block and must reproduce every output
+  // bit on every backend, for every length remainder (1..1000 covers all
+  // SIMD widths) and every row-chain remainder (1..9 rows). Across
+  // backends it keeps the 1e-12 agreement with scalar.
+  constexpr std::size_t kMaxLen = 1000;
+  constexpr std::size_t kMaxRows = 9;
+  util::Rng rng(4004);
+  const auto block = random_vector(rng, kMaxRows * kMaxLen, 0.5);
+  const auto w = random_vector(rng, kMaxLen, 2.0);
+  const Backend saved = active_backend();
+  for (const Backend backend : all_backends()) {
+    if (!backend_available(backend)) continue;
+    set_backend(backend);
+    std::size_t mismatches = 0;
+    std::string first_mismatch;
+    std::vector<double> column(kMaxRows);
+    for (std::size_t n = 1; n <= kMaxLen; ++n) {
+      for (std::size_t rows = 1; rows <= kMaxRows; ++rows) {
+        std::vector<double> want(rows, 0.0);
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t r = 0; r < rows; ++r) {
+            column[r] = block[r * kMaxLen + i];
+          }
+          num::axpy(w[i], std::span<const double>(column).first(rows), want);
+        }
+        std::vector<double> got(rows);
+        num::serial_dot_rows(block.data(), rows, kMaxLen, w.data(), n,
+                             got.data());
+        std::vector<double> reference(rows);
+        scalar::serial_dot_rows(block.data(), rows, kMaxLen, w.data(), n,
+                                reference.data());
+        for (std::size_t r = 0; r < rows; ++r) {
+          expect_rel_close(got[r], reference[r]);
+          if (std::memcmp(&got[r], &want[r], sizeof(double)) != 0 &&
+              mismatches++ == 0) {
+            first_mismatch = "n=" + std::to_string(n) +
+                             " rows=" + std::to_string(rows) +
+                             " r=" + std::to_string(r);
+          }
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u)
+        << backend_name(backend) << ", first at " << first_mismatch;
   }
   set_backend(saved);
 }
