@@ -2,8 +2,10 @@
 //
 // The paper reports < 21 ms end-to-end (context detection + authentication)
 // per 6 s window, 0.065 s training, ~3 MB memory. These benchmarks measure
-// our feature extraction, one FFT, context detection and decision latency,
-// and print a memory budget for the resident model state.
+// our feature extraction (one repeated window, and distinct windows cycled
+// the way the ledger's window_stream replays them), the FFTs, context
+// detection and decision latency, and print a memory budget for the
+// resident model state.
 #include <benchmark/benchmark.h>
 
 #include <complex>
@@ -25,6 +27,26 @@ using namespace sy;
 
 namespace {
 
+// Samples [begin, begin + n) of a recording's accelerometer and gyroscope,
+// the streams auth_vectors reads.
+sensors::Recording cut(const sensors::Recording& rec, std::size_t begin,
+                       std::size_t n) {
+  const auto slice = [&](const sensors::AxisTrace& trace) {
+    sensors::AxisTrace out;
+    const auto b = static_cast<std::ptrdiff_t>(begin);
+    const auto e = static_cast<std::ptrdiff_t>(begin + n);
+    out.x.assign(trace.x.begin() + b, trace.x.begin() + e);
+    out.y.assign(trace.y.begin() + b, trace.y.begin() + e);
+    out.z.assign(trace.z.begin() + b, trace.z.begin() + e);
+    return out;
+  };
+  sensors::Recording out;
+  out.sample_rate_hz = rec.sample_rate_hz;
+  out.accel = slice(rec.accel);
+  out.gyro = slice(rec.gyro);
+  return out;
+}
+
 struct PipelineFixture {
   sensors::Population pop = sensors::Population::generate(4, 51);
   features::FeatureExtractor extractor{features::FeatureConfig{}};
@@ -33,6 +55,8 @@ struct PipelineFixture {
   context::ContextDetector detector;
   core::AuthModel model;
   std::vector<double> window28;
+  // One-window phone+watch recordings cut from held-out minutes.
+  std::vector<std::pair<sensors::Recording, sensors::Recording>> distinct;
 
   PipelineFixture() {
     util::Rng rng(52);
@@ -91,6 +115,35 @@ struct PipelineFixture {
       std::fprintf(stderr, "6 s session does not yield exactly one window\n");
       std::abort();
     }
+
+    // Held-out minutes from their own seed, drawn after everything above:
+    // every user in both raw contexts, cut into 6 s windows.
+    util::Rng heldout_rng(55);
+    collect.bluetooth = true;
+    collect.synthesis.duration_seconds = 60.0;
+    const std::size_t w = extractor.config().window.window_samples();
+    for (std::size_t u = 0; u < pop.size(); ++u) {
+      for (const auto context : {sensors::UsageContext::kStationaryUse,
+                                 sensors::UsageContext::kMoving}) {
+        const auto s = sensors::collect_session(pop.user(u), context, collect,
+                                                heldout_rng);
+        const std::size_t n =
+            extractor.auth_vectors(s.phone, &*s.watch).size();
+        for (std::size_t k = 0; k < n; ++k) {
+          distinct.emplace_back(cut(s.phone, k * w, w),
+                                cut(*s.watch, k * w, w));
+          const auto& [phone, watch] = distinct.back();
+          if (extractor.auth_vectors(phone, &watch).size() != 1) {
+            std::fprintf(stderr, "a cut window does not yield one vector\n");
+            std::abort();
+          }
+        }
+      }
+    }
+    if (distinct.size() < 64) {
+      std::fprintf(stderr, "only %zu distinct windows\n", distinct.size());
+      std::abort();
+    }
   }
 };
 
@@ -110,6 +163,22 @@ void BM_FeatureExtraction6sWindow(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureExtraction6sWindow)->Unit(benchmark::kMicrosecond);
 
+// The same extraction over distinct windows (80 here: 4 users x 2 contexts
+// x one held-out minute), cycled like the ledger's window_stream replay.
+// Unlike the repeated window above, it is not helped by branch history
+// learned on one input (libm's hypot branches on its arguments) or by
+// inputs that stay in cache.
+void BM_FeatureExtractionDistinctWindows(benchmark::State& state) {
+  auto& f = fixture();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [phone, watch] = f.distinct[i];
+    benchmark::DoNotOptimize(f.extractor.auth_vectors(phone, &watch));
+    i = i + 1 == f.distinct.size() ? 0 : i + 1;
+  }
+}
+BENCHMARK(BM_FeatureExtractionDistinctWindows)->Unit(benchmark::kMicrosecond);
+
 // One 512-point FFT: a 300-sample window zero-padded to 512, the transform
 // each stream of a window runs (four per phone+watch window). The copy of
 // the 8 KiB input is inside the timed loop.
@@ -125,6 +194,25 @@ void BM_Fft512(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Fft512)->Unit(benchmark::kMicrosecond);
+
+// Four 512-point FFTs in lockstep: a phone+watch window's four streams,
+// each a 300-sample window zero-padded to 512, as the feature extractor
+// runs them. The copy of the 32 KiB input is inside the timed loop.
+void BM_Fft512Lanes4(benchmark::State& state) {
+  util::Rng rng(56);
+  std::vector<double> input(2 * 4 * 512, 0.0);
+  for (std::size_t i = 0; i < 300; ++i) {
+    for (std::size_t l = 0; l < 4; ++l) input[8 * i + l] = rng.gaussian();
+  }
+  std::vector<double> buf(input.size());
+  for (auto _ : state) {
+    buf = input;
+    signal::fft_radix2_lanes<4>(buf);
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Fft512Lanes4)->Unit(benchmark::kMicrosecond);
 
 // Context detection per window (paper: < 3 ms).
 void BM_ContextDetection(benchmark::State& state) {

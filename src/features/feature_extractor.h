@@ -9,6 +9,15 @@
 // (redundant with Var/Max) and Peak2 f (uninformative), leaving the 7-element
 // per-stream vector of Eq. 2; two sensors give 14 per device (Eq. 3) and the
 // phone+watch combination gives 28 (Eq. 4).
+//
+// Every entry point extracts four equal-length windows at a time in
+// lockstep: four Welford chains advance sample by sample, one 4-lane FFT
+// transforms them, and signal::find_peaks_lanes computes exact magnitudes
+// only for bins that can hold a peak. With the watch, the four lanes are
+// one window's four streams. Each window's features have the bits of that
+// window extracted alone (RunningStats, magnitude_spectrum, find_peaks), so
+// they depend on neither the lane, the batch nor the num:: backend (pinned
+// in tests/features_extractor_test).
 #pragma once
 
 #include <array>
@@ -65,8 +74,12 @@ struct FeatureConfig {
   double peak_guard_hz{0.4};
 };
 
+// Const and safe to call from many threads: scratch buffers are per call or
+// thread_local.
 class FeatureExtractor {
  public:
+  // Throws std::invalid_argument unless the sample rate is positive and the
+  // window and the hop each span at least one sample.
   explicit FeatureExtractor(FeatureConfig config = {});
 
   const FeatureConfig& config() const { return config_; }
@@ -94,6 +107,17 @@ class FeatureExtractor {
   static std::size_t auth_dim(bool with_watch) { return with_watch ? 28 : 14; }
 
  private:
+  static constexpr std::size_t kLanes = 4;
+  using Lanes = std::array<std::span<const double>, kLanes>;
+
+  // Features of four equal-length windows in lockstep. A padded length that
+  // is not a power of two (pad_to_pow2 off) takes magnitude_spectrum and
+  // find_peaks lane by lane.
+  std::array<StreamFeatures, kLanes> lane_features(const Lanes& windows) const;
+  // Features of each window, four at a time; the spare lanes of the last
+  // group repeat a live window and their results are dropped.
+  std::vector<StreamFeatures> features_of(
+      std::span<const std::span<const double>> windows) const;
   void append_selected(const StreamFeatures& f, std::vector<double>& out) const;
 
   FeatureConfig config_;

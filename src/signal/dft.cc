@@ -1,5 +1,6 @@
 #include "signal/dft.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -41,42 +42,62 @@ const Twiddle* twiddles(std::size_t n) {
 
 }  // namespace
 
-void fft_radix2(std::vector<std::complex<double>>& x) {
-  const std::size_t n = x.size();
-  if (!is_power_of_two(n)) {
+template <std::size_t L>
+void fft_radix2_lanes(std::span<double> data) {
+  constexpr std::size_t kStride = 2 * L;
+  const std::size_t n = data.size() / kStride;
+  if (data.size() % kStride != 0 || !is_power_of_two(n)) {
     throw std::invalid_argument("fft_radix2: size must be a power of two");
   }
-  // Bit-reversal permutation.
+  double* x = data.data();
+  // Bit-reversal permutation of whole elements (all lanes at once).
   for (std::size_t i = 1, j = 0; i < n; ++i) {
     std::size_t bit = n >> 1;
     for (; j & bit; bit >>= 1) j ^= bit;
     j ^= bit;
-    if (i < j) std::swap(x[i], x[j]);
+    if (i < j) {
+      std::swap_ranges(x + kStride * i, x + kStride * (i + 1), x + kStride * j);
+    }
   }
   // Danielson-Lanczos stages. The twiddle product is written out as the
   // finite branch of the complex multiply: the std::complex operator
-  // compiles to an Annex G NaN check with a __muldc3 call.
+  // compiles to an Annex G NaN check with a __muldc3 call. Every lane runs
+  // the same operations in the same order, so the lane loop vectorizes
+  // without changing any lane's bits.
   const Twiddle* table = twiddles(n);
-  double* data = reinterpret_cast<double*>(x.data());
   for (std::size_t half = 1; half < n; half <<= 1) {
     const Twiddle* w = table + (half - 1);
     for (std::size_t i = 0; i < n; i += 2 * half) {
-      double* lo = data + 2 * i;
-      double* hi = lo + 2 * half;
+      double* lo = x + kStride * i;
+      double* hi = lo + kStride * half;
       for (std::size_t k = 0; k < half; ++k) {
-        const double br = hi[2 * k];
-        const double bi = hi[2 * k + 1];
-        const double vr = br * w[k].re - bi * w[k].im;
-        const double vi = br * w[k].im + bi * w[k].re;
-        const double ur = lo[2 * k];
-        const double ui = lo[2 * k + 1];
-        lo[2 * k] = ur + vr;
-        lo[2 * k + 1] = ui + vi;
-        hi[2 * k] = ur - vr;
-        hi[2 * k + 1] = ui - vi;
+        const double wr = w[k].re;
+        const double wi = w[k].im;
+        double* a = lo + kStride * k;
+        double* b = hi + kStride * k;
+        for (std::size_t l = 0; l < L; ++l) {
+          const double br = b[l];
+          const double bi = b[L + l];
+          const double vr = br * wr - bi * wi;
+          const double vi = br * wi + bi * wr;
+          const double ur = a[l];
+          const double ui = a[L + l];
+          a[l] = ur + vr;
+          a[L + l] = ui + vi;
+          b[l] = ur - vr;
+          b[L + l] = ui - vi;
+        }
       }
     }
   }
+}
+
+template void fft_radix2_lanes<1>(std::span<double>);
+template void fft_radix2_lanes<4>(std::span<double>);
+
+void fft_radix2(std::vector<std::complex<double>>& x) {
+  fft_radix2_lanes<1>(
+      std::span<double>(reinterpret_cast<double*>(x.data()), 2 * x.size()));
 }
 
 std::vector<std::complex<double>> dft(std::span<const double> x) {
@@ -117,16 +138,24 @@ std::vector<double> magnitude_spectrum(std::span<const double> x) {
   const std::size_t n = x.size();
   if (n == 0) return {};
   const auto spec = dft(x);
-  const std::size_t half = n / 2;
-  std::vector<double> mag(half + 1);
-  for (std::size_t k = 0; k <= half; ++k) {
-    double m = std::abs(spec[k]) / static_cast<double>(n);
-    const bool is_dc = (k == 0);
-    const bool is_nyquist = (n % 2 == 0 && k == half);
-    if (!is_dc && !is_nyquist) m *= 2.0;
-    mag[k] = m;
+  std::vector<double> mag(n / 2 + 1);
+  for (std::size_t k = 0; k < mag.size(); ++k) {
+    mag[k] = one_sided_magnitude(spec[k], k, n);
   }
   return mag;
+}
+
+bool is_doubled_bin(std::size_t k, std::size_t n) {
+  const bool is_dc = (k == 0);
+  const bool is_nyquist = (n % 2 == 0 && k == n / 2);
+  return !is_dc && !is_nyquist;
+}
+
+double one_sided_magnitude(std::complex<double> x, std::size_t k,
+                           std::size_t n) {
+  double m = std::abs(x) / static_cast<double>(n);
+  if (is_doubled_bin(k, n)) m *= 2.0;
+  return m;
 }
 
 double bin_frequency(std::size_t k, std::size_t n, double sample_rate_hz) {
