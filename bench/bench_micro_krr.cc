@@ -15,9 +15,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,15 +29,10 @@
 #include "ml/svm.h"
 #include "num/backend.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 using namespace sy;
 
 namespace {
-
-// Set by --threads=N before benchmark::Initialize; BM_BlockedCholesky runs
-// its trailing updates on this pool (null = serial schedule).
-util::ThreadPool* g_cholesky_pool = nullptr;
 
 // Set by --mode=nystrom|rff: the approximate path the BM_Approx* benchmarks
 // exercise. Recorded as "sy_training_mode" in the JSON context so
@@ -191,48 +184,27 @@ void BM_RbfGram(benchmark::State& state) {
 }
 BENCHMARK(BM_RbfGram)->Arg(200)->Arg(400)->Arg(800);
 
-// --threads=N tiles the rank-k trailing update over a pool (bitwise
-// identical to serial — the flag trades nothing but wall-clock). Pinned to
-// the barrier-per-panel kParallelTiles schedule so BM_CholeskyLookahead
-// below measures the panel-overlap win against a stable baseline.
+// The serial blocked factor every training solve runs (N = 800 is one
+// enroll context's dual system).
 void BM_BlockedCholesky(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const ml::Dataset data = blobs(n / 2, 28, 23);
   ml::Matrix a = ml::gram_matrix(data.x, ml::Kernel::rbf());
   a.add_diagonal(0.3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ml::cholesky(
-        a, g_cholesky_pool, num::CholeskySchedule::kParallelTiles));
+    benchmark::DoNotOptimize(ml::cholesky(a));
   }
 }
 BENCHMARK(BM_BlockedCholesky)->Arg(200)->Arg(400)->Arg(800)->Arg(1600)
     ->Arg(3200)->Unit(benchmark::kMillisecond);
 
-// The look-ahead schedule: panel p+1's serial factor overlaps panel p's
-// remaining trailing tiles instead of gating them. Same matrix sizes as
-// BM_BlockedCholesky at and above the parallel threshold, so the JSON
-// artifacts diff pairwise (CI gates >= 1.2x at n=1600 with >= 4 threads);
-// the factor is bitwise identical to both other schedules.
-void BM_CholeskyLookahead(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const ml::Dataset data = blobs(n / 2, 28, 23);
-  ml::Matrix a = ml::gram_matrix(data.x, ml::Kernel::rbf());
-  a.add_diagonal(0.3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ml::cholesky(
-        a, g_cholesky_pool, num::CholeskySchedule::kLookahead));
-  }
-}
-BENCHMARK(BM_CholeskyLookahead)->Arg(800)->Arg(1600)->Arg(3200)
-    ->Unit(benchmark::kMillisecond);
-
 // --- Population-growth curve (ISSUE 6 tentpole gate) ----------------------
 // The point of the approximate path: per-user training cost is independent
 // of how many vectors the population store holds. BM_ApproxTrainUser times
-// exactly what a steady-state enrollment pays (shared statistics prewarmed,
-// as AuthServer::train_user_models does before fanning out); BM_ApproxSharedStats times
-// the amortized per-context build; BM_ExactTrainFullPop is the contrast —
-// exact KRR forced to learn from the whole population.
+// exactly what a steady-state enrollment pays (shared statistics already
+// cached, as every enroll after the first finds them); BM_ApproxSharedStats
+// times the amortized per-context build; BM_ExactTrainFullPop is the
+// contrast — exact KRR forced to learn from the whole population.
 
 constexpr auto kBenchContext = sensors::DetectedContext::kStationary;
 constexpr std::size_t kPopDim = 14;
@@ -358,13 +330,12 @@ BENCHMARK(BM_KrrDecisionBatch)->Arg(1)->Arg(4)->Arg(128);
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Peel off --backend=.../--threads=... before benchmark::Initialize (it
+  // Peel off --backend=.../--mode=... before benchmark::Initialize (it
   // rejects flags it does not own). SY_NUM_BACKEND has already been applied
   // by num::backend.
   std::vector<char*> args;
   std::string backend;
   std::string mode;
-  unsigned threads = 0;
   for (int i = 0; i < argc; ++i) {
     if (std::strncmp(argv[i], "--backend=", 10) == 0) {
       backend = argv[i] + 10;
@@ -372,11 +343,6 @@ int main(int argc, char** argv) {
     }
     if (std::strncmp(argv[i], "--mode=", 7) == 0) {
       mode = argv[i] + 7;
-      continue;
-    }
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      // Negative values mean "no pool" (0), not a wrapped-around unsigned.
-      threads = static_cast<unsigned>(std::max(0, std::atoi(argv[i] + 10)));
       continue;
     }
     args.push_back(argv[i]);
@@ -412,14 +378,6 @@ int main(int argc, char** argv) {
                               std::to_string(kScalingPopMin));
   benchmark::AddCustomContext("sy_scaling_pop_max",
                               std::to_string(kScalingPopMax));
-  std::unique_ptr<util::ThreadPool> pool;
-  if (threads > 0) {
-    pool = std::make_unique<util::ThreadPool>(threads);
-    g_cholesky_pool = pool.get();
-  }
-  benchmark::AddCustomContext("sy_cholesky_threads",
-                              std::to_string(threads));
-
   int bench_argc = static_cast<int>(args.size());
   benchmark::Initialize(&bench_argc, args.data());
   if (benchmark::ReportUnrecognizedArguments(bench_argc, args.data())) {

@@ -6,11 +6,11 @@ Usage: bench_compare.py BASELINE.json CANDIDATE.json
        bench_compare.py --matrix BASELINE_DIR CANDIDATE_DIR
            [--threshold 0.20] [--latency-threshold 0.50]
 
-Understands the bench_batch_training summary, bench_scenarios artifacts,
-and Google Benchmark --benchmark_out documents (a "benchmarks" array:
-per-benchmark real_time of same-named iteration entries diff as latency
-metrics, so same-backend pairs of bench_micro_krr artifacts — e.g.
-yesterday's BENCH_micro_krr_avx512.json against today's — gate directly).
+Understands bench_scenarios artifacts and Google Benchmark --benchmark_out
+documents (a "benchmarks" array: per-benchmark real_time of same-named
+iteration entries diff as latency metrics, so same-backend pairs of
+bench_micro_krr artifacts — e.g. yesterday's BENCH_micro_krr_avx512.json
+against today's — gate directly).
 Every known metric present in BOTH files is compared. Refuses (exit 1) to
 diff artifacts whose configuration identity differs — numeric backend or
 KRR training mode ("context.sy_num_backend"/"context.sy_training_mode" in
@@ -20,13 +20,13 @@ regression.
 Metric categories:
   throughput  higher is better; a drop beyond --threshold (default 20%)
               fails the run.
-  latency     lower is better; sourced from obs histograms
-              (enroll_latency_ms percentiles, scenario score latencies). By
+  latency     lower is better; sourced from obs histograms (scenario
+              score latencies) and Google Benchmark real_time. By
               default these only warn — they are noisier on shared CI
               runners — but passing --latency-threshold gates them: a rise
               beyond that fraction fails the run.
-  info        lower is better, never gated (maxima and other noisy
-              once-per-run measurements).
+  info        lower is better, never gated (noisy once-per-run
+              measurements).
 
 Matrix mode (--matrix) diffs two DIRECTORIES of bench_scenarios artifacts
 (BENCH_scenarios_*.json): files pair up by their "scenario" value, every
@@ -47,12 +47,6 @@ import sys
 # "throughput" (gated by --threshold), "latency" (gated by
 # --latency-threshold when given, warn-only otherwise), "info" (never gated).
 METRICS = [
-    # bench_batch_training summary.
-    ("speedup", "batched training speedup", "throughput"),
-    ("enroll_latency_ms.p50", "enroll latency p50 (ms)", "latency"),
-    ("enroll_latency_ms.p95", "enroll latency p95 (ms)", "latency"),
-    ("enroll_latency_ms.p99", "enroll latency p99 (ms)", "latency"),
-    ("enroll_latency_ms.max", "enroll latency max (ms)", "info"),
     # bench_scenarios artifacts (summary object, one file per scenario).
     # Security-quality metrics where lower is better ride the latency
     # category; accept rates and throughputs gate like throughput.

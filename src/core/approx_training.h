@@ -117,8 +117,8 @@ ml::KrrClassifier train_classifier_from_stats(
 // Thread-safe cache of shared statistics, one entry per context. get()
 // returns the cached entry when the bucket's covering prefix still aliases
 // the entry's exact blocks (and the config identity matches), else rebuilds.
-// AuthServer::train_user_models prewarms it before fanning out so the build
-// happens once.
+// The gateway's enroll and its retrain queue share one cache, so the build
+// is paid once per snapshot prefix, not once per user.
 class ApproxStatsCache {
  public:
   std::shared_ptr<const ApproxContextStats> get(

@@ -4,13 +4,14 @@
 
 #include "core/approx_training.h"
 #include "ml/dataset.h"
-#include "util/thread_pool.h"
 
 namespace sy::core {
 
 void CowPopulationStore::contribute(
     int contributor_token, sensors::DetectedContext context,
     const std::vector<std::vector<double>>& vectors) {
+  // Validate before the clone: a rejected payload leaves the map as it was.
+  VectorBlock block = make_vector_block(contributor_token, vectors);
   // Copy-on-write: clone only while an outstanding snapshot aliases the map,
   // so training against a snapshot is never perturbed by later growth. The
   // clone shares bucket block lists; the bucket's own append then detaches
@@ -18,8 +19,7 @@ void CowPopulationStore::contribute(
   if (data_.use_count() > 1) {
     data_ = std::make_shared<PopulationStore>(*data_);
   }
-  auto& bucket = (*data_)[context];
-  bucket.append_block(make_vector_block(contributor_token, vectors));
+  (*data_)[context].append_block(std::move(block));
 }
 
 std::size_t CowPopulationStore::store_size(
@@ -162,60 +162,6 @@ AuthModel AuthServer::train_user_model(int user_token,
 
   simulate_transfer(model_download_bytes(model), /*upload=*/false);
   return model;
-}
-
-std::vector<AuthModel> AuthServer::train_user_models(
-    std::span<const EnrollmentRequest> requests, util::ThreadPool* pool) {
-  if (!net_.available) {
-    throw NetworkUnavailableError("AuthServer: network unavailable");
-  }
-  for (const auto& request : requests) {
-    if (request.positives == nullptr || request.positives->empty()) {
-      throw std::invalid_argument(
-          "AuthServer: request without positive vectors");
-    }
-  }
-
-  // Uploads are accounted up front (request order), matching the sequential
-  // path where the upload happens before — and survives — a failed training.
-  for (const auto& request : requests) {
-    simulate_transfer(upload_bytes(*request.positives), /*upload=*/true);
-  }
-
-  // Immutable snapshot shared (lock-free) by every worker.
-  const std::shared_ptr<const PopulationStore> snapshot = store_->snapshot();
-  std::vector<AuthModel> models(requests.size());
-
-  // Approximate modes: build the shared per-context statistics once, before
-  // the fan-out, so workers hit the cache instead of racing to build under
-  // its lock. One (context, dim) pair per batch is the common case.
-  if (config_.krr.mode != ml::TrainingMode::kExact) {
-    for (const auto& request : requests) {
-      for (const auto& [context, pos_vectors] : *request.positives) {
-        if (pos_vectors.empty()) continue;
-        const auto it = snapshot->find(context);
-        if (it == snapshot->end() || it->second.empty()) continue;
-        approx_cache_->get(context, it->second, pos_vectors.front().size(),
-                           config_.krr);
-      }
-    }
-  }
-
-  util::ThreadPool& workers =
-      pool != nullptr ? *pool : util::ThreadPool::shared();
-  workers.parallel_for(requests.size(), [&](std::size_t i) {
-    const EnrollmentRequest& request = requests[i];
-    util::Rng rng(request.rng_seed);
-    models[i] = train_user_from_store(*snapshot, config_, request.user_token,
-                                      *request.positives, rng, request.version,
-                                      approx_cache_.get());
-  });
-
-  // Deterministic download accounting: request order, after the join.
-  for (const auto& model : models) {
-    simulate_transfer(model_download_bytes(model), /*upload=*/false);
-  }
-  return models;
 }
 
 std::size_t AuthServer::store_size(sensors::DetectedContext context) const {

@@ -9,10 +9,8 @@
 // training is the only phase that needs connectivity (§III).
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <memory>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -21,10 +19,6 @@
 #include "ml/krr.h"
 #include "sensors/types.h"
 #include "util/rng.h"
-
-namespace sy::util {
-class ThreadPool;
-}
 
 namespace sy::core {
 
@@ -88,7 +82,9 @@ class PopulationStoreBackend {
   virtual ~PopulationStoreBackend() = default;
 
   // Anonymized contribution: the token exists only to avoid self-matching
-  // during training.
+  // during training. Throws std::invalid_argument, with no state changed,
+  // for a NaN/infinite value or vectors of differing lengths
+  // (make_vector_block).
   virtual void contribute(int contributor_token,
                           sensors::DetectedContext context,
                           const std::vector<std::vector<double>>& vectors) = 0;
@@ -126,10 +122,11 @@ class CowPopulationStore final : public PopulationStoreBackend {
 class ApproxStatsCache;
 
 // Trains one user's per-context model bundle against an immutable store
-// snapshot. This is the single training kernel behind AuthServer's
-// sequential and batched paths: given the same store, request, and RNG
-// state both produce bit-identical models. Throws std::runtime_error
-// when the store lacks impostor data for a requested context.
+// snapshot. This is the single training kernel behind
+// AuthServer::train_user_model, serve::AuthGateway::enroll and the retrain
+// queue: given the same store, positives and RNG state they produce
+// bit-identical models. Throws std::runtime_error when the store lacks
+// impostor data for a requested context.
 //
 // When config.krr.mode is kNystrom or kRff this routes to the approximate
 // trainer (core/approx_training.h): `rng` goes unused (the approximate path
@@ -143,20 +140,8 @@ AuthModel train_user_from_store(const PopulationStore& store,
                                 util::Rng& rng, int version,
                                 ApproxStatsCache* stats_cache = nullptr);
 
-// One enrollment in an AuthServer::train_user_models batch.
-struct EnrollmentRequest {
-  int user_token{0};
-  // Not owned; must outlive train_user_models().
-  const VectorsByContext* positives{nullptr};
-  // Per-request stream seed: makes each user's impostor draw independent of
-  // batch composition and scheduling order.
-  std::uint64_t rng_seed{0};
-  int version{1};
-};
-
 // Thread-safety contract: the public methods are externally synchronized
-// (one caller at a time); the internal parallelism is across workers inside
-// train_user_models. Inject a serve::ShardedPopulationStore backend for
+// (one caller at a time). Inject a serve::ShardedPopulationStore backend for
 // internally-synchronized, concurrent contribution.
 class AuthServer {
  public:
@@ -180,19 +165,6 @@ class AuthServer {
   AuthModel train_user_model(int user_token, const VectorsByContext& positives,
                              util::Rng& rng, int version = 1);
 
-  // Batched enrollment (population scale): trains every request on `pool`
-  // (null = ThreadPool::shared()) against one store snapshot; result[i]
-  // corresponds to requests[i]. Each request seeds its own Rng, so a batch of
-  // one is train_user_model with Rng(rng_seed), bit for bit, whatever the
-  // scheduling. Network and empty-positives errors throw before any work;
-  // otherwise the first per-request training failure is rethrown once the
-  // batch has drained. Uploads are accounted in request order before
-  // training and downloads in request order after the join, so
-  // TransferStats are deterministic too.
-  std::vector<AuthModel> train_user_models(
-      std::span<const EnrollmentRequest> requests,
-      util::ThreadPool* pool = nullptr);
-
   // Public transfer accounting for out-of-band flows (the async retrain
   // bridge uploads drift windows and downloads the finished model around the
   // serve::RetrainQueue rather than through train_user_model). Both throw
@@ -215,8 +187,7 @@ class AuthServer {
   TransferStats transfers_;
   std::shared_ptr<PopulationStoreBackend> store_;
   // Shared approximate-training statistics, reused across train calls while
-  // the snapshot prefix is unchanged; train_user_models prewarms it per
-  // (context, dim) before fanning out. Untouched in exact mode.
+  // the snapshot prefix is unchanged. Untouched in exact mode.
   std::shared_ptr<ApproxStatsCache> approx_cache_;
 };
 

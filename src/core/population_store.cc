@@ -1,12 +1,26 @@
 #include "core/population_store.h"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 
 namespace sy::core {
 
 VectorBlock make_vector_block(
     int contributor, const std::vector<std::vector<double>>& vectors) {
   if (vectors.empty()) return nullptr;
+  const std::size_t dim = vectors.front().size();
+  for (const auto& v : vectors) {
+    if (v.size() != dim) {
+      throw std::invalid_argument(
+          "contribute: vectors of differing lengths in one contribution");
+    }
+    for (const double x : v) {
+      if (!std::isfinite(x)) {
+        throw std::invalid_argument("contribute: non-finite feature value");
+      }
+    }
+  }
   auto block = std::make_shared<std::vector<StoredVector>>();
   block->reserve(vectors.size());
   for (const auto& v : vectors) {

@@ -55,7 +55,11 @@ struct StoredVector {
 using VectorBlock = std::shared_ptr<const std::vector<StoredVector>>;
 
 // Builds a block from one contribute() payload. Returns null for an empty
-// payload (buckets never store empty blocks).
+// payload (buckets never store empty blocks). Throws std::invalid_argument
+// when a value is NaN or infinite, or when the payload's vectors differ in
+// length: one such vector would reach other users' impostor samples and
+// make their models score NaN. Both stores build the block before touching
+// any state, so a rejected contribution changes nothing.
 VectorBlock make_vector_block(int contributor,
                               const std::vector<std::vector<double>>& vectors);
 

@@ -8,8 +8,7 @@
 
 namespace sy::ml {
 
-Matrix cholesky(const Matrix& a, util::ThreadPool* pool,
-                num::CholeskySchedule schedule) {
+Matrix cholesky(const Matrix& a) {
   if (a.rows() != a.cols()) {
     throw std::invalid_argument("cholesky: matrix must be square");
   }
@@ -23,7 +22,7 @@ Matrix cholesky(const Matrix& a, util::ThreadPool* pool,
     auto dst = l.row(i);
     for (std::size_t j = 0; j <= i; ++j) dst[j] = src[j];
   }
-  if (num::cholesky_inplace(l.data().data(), n, n, pool, schedule) != n) {
+  if (num::cholesky_inplace(l.data().data(), n, n) != n) {
     throw std::runtime_error("cholesky: matrix not positive definite");
   }
   return l;

@@ -7,11 +7,6 @@
 #include <vector>
 
 #include "ml/matrix.h"
-#include "num/kernels.h"
-
-namespace sy::util {
-class ThreadPool;
-}  // namespace sy::util
 
 namespace sy::ml {
 
@@ -20,13 +15,7 @@ namespace sy::ml {
 // Blocked right-looking via num::cholesky_inplace (panel factor + fused
 // triangular solve + rank-k update on the dispatched backend); the scalar
 // backend is bit-identical to the classic unblocked left-looking loop.
-// With a pool, factorizations past num::kCholeskyParallelRows run the
-// requested schedule (default: look-ahead, which overlaps the next panel's
-// factor with the current trailing update) — bitwise identical to the
-// serial schedule on every backend.
-Matrix cholesky(const Matrix& a, util::ThreadPool* pool = nullptr,
-                num::CholeskySchedule schedule =
-                    num::CholeskySchedule::kLookahead);
+Matrix cholesky(const Matrix& a);
 
 // Solves A x = b for SPD A via Cholesky.
 std::vector<double> solve_spd(const Matrix& a, std::span<const double> b);

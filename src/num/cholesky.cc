@@ -19,38 +19,10 @@
 // partially-updated entry back to memory between panels is exact, so the
 // factor is bit-identical to the unblocked reference — blocking reorders
 // only which entry is touched next, never an entry's own operation order.
-//
-// Schedules (all bitwise identical per backend, pinned in num_kernels_test):
-//   kSerial        — everything on the calling thread.
-//   kParallelTiles — serial panel factor, trailing update tiled across the
-//                    pool with a full barrier per panel. The panel factor
-//                    gates every tile: the pool idles while one thread
-//                    walks 64 columns.
-//   kLookahead     — the trailing update for panel p is split at the next
-//                    panel boundary p2 = p1 + 64:
-//
-//                        columns   [p1,p2)  [p2,n)
-//                      phase A:    ██████            strip: tiled, barrier
-//                      phase B:    factor │ ██████   panel p+1 factor runs
-//                                  p+1    │ tiles    CONCURRENTLY with the
-//                                         │          rest of the update
-//
-//                    Phase B's panel factor reads and writes only the strip
-//                    columns [p1,p2) (fully updated by phase A's barrier),
-//                    while the remaining tiles write columns >= p2 and read
-//                    only panel-p columns [p0,p1) — disjoint, race-free.
-//                    The serial 64-column walk thus overlaps tile work
-//                    instead of gating it.
-//
-// Why the column split keeps bitwise identity: each entry's panel-p update
-// is ONE dot_sub/dot_subN call over the same slices whatever the schedule,
-// and the SIMD column-group loops (4-wide avx2, 8-wide avx512) start either
-// at p1 (serial/strip) or at p2 = p1 + kPanel. kPanel is a multiple of the
-// widest group, so a group never straddles the split — every column lands
-// in a group with the exact alignment the serial schedule gives it.
+// The SIMD factors are pinned bitwise against a frozen copy of this file's
+// schedule in num_kernels_test.
 #include "num/backend.h"
 #include "num/kernels.h"
-#include "util/thread_pool.h"
 
 #include <algorithm>
 #include <cmath>
@@ -64,35 +36,23 @@ namespace {
 // trailing matrix while it is hot.
 constexpr std::size_t kPanel = 64;
 
-// The look-ahead bitwise-identity argument needs SIMD column groups to never
-// straddle the split at p1 + kPanel (see the file comment).
-static_assert(kPanel % 8 == 0,
-              "kPanel must be a multiple of the widest dot_subN column block");
-
-// Rows per trailing-update tile when the update runs on a pool. Small enough
-// that the triangular row costs (row i does i - p1 + 1 entries) spread over
-// many stealable tasks, large enough to amortize the handshake.
-constexpr std::size_t kTileRows = 32;
-
 using DotSubFn = double (*)(double, std::span<const double>,
                             std::span<const double>);
 
-// A22 -= L21 L21^T on rows [r0, r1) of the lower triangle, columns
-// [c0, min(c1, i+1)). Each entry is written by exactly one call, and the
-// only reads outside the written range are panel columns [p0, p1) —
-// finalized by the panel factor before any trailing tile starts — so
-// concurrent tiles over disjoint row/column ranges are race-free and every
-// entry sees the serial operation order.
-void trailing_update_rows(double* a, std::size_t stride, std::size_t p0,
-                          std::size_t p1, std::size_t c0, std::size_t c1,
-                          std::size_t r0, std::size_t r1, Backend backend,
-                          DotSubFn dot_sub_fn) {
+// A22 -= L21 L21^T on the lower triangle of rows/columns [p1, n), reading
+// the finished panel columns [p0, p1). The SIMD paths register-block four
+// (avx2) or eight (avx512) columns per call from column p1, which amortizes
+// call overhead and replaces the per-entry horizontal reductions with one
+// cross-lane shuffle + vector subtract.
+void trailing_update(double* a, std::size_t n, std::size_t stride,
+                     std::size_t p0, std::size_t p1, Backend backend,
+                     DotSubFn dot_sub_fn) {
   const std::size_t nb = p1 - p0;
-  for (std::size_t i = r0; i < r1; ++i) {
+  for (std::size_t i = p1; i < n; ++i) {
     double* row_i = a + i * stride;
     const std::span<const double> li{row_i + p0, nb};
-    const std::size_t jend = std::min(c1, i + 1);
-    std::size_t j = c0;
+    const std::size_t jend = i + 1;
+    std::size_t j = p1;
     if (backend == Backend::kAvx512) {
       for (; j + 8 <= jend; j += 8) {
         const double* bs[8] = {
@@ -118,18 +78,17 @@ void trailing_update_rows(double* a, std::size_t stride, std::size_t p0,
 
 // Panel factor: columns [p0, p1), all rows below the diagonal. This fuses
 // the L11 factor and the L21 triangular solve; it is inherently serial
-// (columns depend on each other) and reads/writes ONLY columns [p0, p1) —
-// which is what lets the look-ahead schedule run it concurrently with
-// trailing tiles that stay at or beyond column p1.
-// Returns p1 on success, or the offending column index on a non-positive
-// pivot.
+// (columns depend on each other).
+// Returns p1 on success, or the offending column index on a pivot that is
+// not positive. The test reads `!(diag > 0.0)` so that a NaN pivot fails
+// too (`diag <= 0.0` is false for NaN).
 std::size_t factor_panel(double* a, std::size_t n, std::size_t stride,
                          std::size_t p0, std::size_t p1, DotSubFn dot_sub_fn) {
   for (std::size_t j = p0; j < p1; ++j) {
     double* row_j = a + j * stride;
     const std::span<const double> lj{row_j + p0, j - p0};
     double diag = dot_sub_fn(row_j[j], lj, lj);
-    if (diag <= 0.0) return j;  // not (numerically) positive definite
+    if (!(diag > 0.0)) return j;  // not (numerically) positive definite
     diag = std::sqrt(diag);
     row_j[j] = diag;
     for (std::size_t i = j + 1; i < n; ++i) {
@@ -140,112 +99,9 @@ std::size_t factor_panel(double* a, std::size_t n, std::size_t stride,
   return p1;
 }
 
-// kSerial / kParallelTiles: factor panel p, then its full trailing update
-// (tiled across the pool past the row threshold when one is supplied).
-std::size_t cholesky_panels(double* a, std::size_t n, std::size_t stride,
-                            util::ThreadPool* pool, Backend backend,
-                            DotSubFn dot_sub_fn) {
-  for (std::size_t p0 = 0; p0 < n; p0 += kPanel) {
-    const std::size_t p1 = std::min(p0 + kPanel, n);
-    const std::size_t r = factor_panel(a, n, stride, p0, p1, dot_sub_fn);
-    if (r != p1) return r;
-
-    // Rank-k trailing update: lower triangle of rows/columns [p1, n). The
-    // SIMD paths register-block four (avx2) or eight (avx512) columns per
-    // call, which amortizes call overhead and replaces the per-entry
-    // horizontal reductions with one cross-lane shuffle + vector subtract.
-    // Past the row threshold the rows tile across the pool — disjoint
-    // writes, bitwise identical to the serial schedule.
-    const std::size_t rows = n - p1;
-    if (pool != nullptr && rows >= kCholeskyParallelRows) {
-      const std::size_t tiles = (rows + kTileRows - 1) / kTileRows;
-      pool->parallel_for(tiles, [&](std::size_t t) {
-        const std::size_t r0 = p1 + t * kTileRows;
-        const std::size_t r1 = std::min(r0 + kTileRows, n);
-        trailing_update_rows(a, stride, p0, p1, p1, n, r0, r1, backend,
-                             dot_sub_fn);
-      });
-    } else {
-      trailing_update_rows(a, stride, p0, p1, p1, n, p1, n, backend,
-                           dot_sub_fn);
-    }
-  }
-  return n;
-}
-
-// kLookahead: loop invariant — panel [p0, p1) is already factored at the top
-// of each iteration (panel 0 is factored before the loop). Each iteration
-// then overlaps panel p+1's factor with the tail of panel p's trailing
-// update, per the phase A / phase B split in the file comment.
-std::size_t cholesky_lookahead(double* a, std::size_t n, std::size_t stride,
-                               util::ThreadPool* pool, Backend backend,
-                               DotSubFn dot_sub_fn) {
-  if (n == 0) return 0;
-  {
-    const std::size_t p1 = std::min(kPanel, n);
-    const std::size_t r = factor_panel(a, n, stride, 0, p1, dot_sub_fn);
-    if (r != p1) return r;
-  }
-  for (std::size_t p0 = 0;; p0 += kPanel) {
-    const std::size_t p1 = std::min(p0 + kPanel, n);
-    if (p1 == n) return n;  // the last panel is already factored
-    const std::size_t p2 = std::min(p1 + kPanel, n);
-
-    const std::size_t rows = n - p1;
-    if (rows < kCholeskyParallelRows) {
-      // Too small to amortize tiling: finish panel p's trailing update and
-      // factor panel p+1 on the calling thread. Same per-entry order as the
-      // serial schedule, so the invariant (and bit-identity) holds across
-      // the parallel-to-serial transition.
-      trailing_update_rows(a, stride, p0, p1, p1, n, p1, n, backend,
-                           dot_sub_fn);
-      const std::size_t r = factor_panel(a, n, stride, p1, p2, dot_sub_fn);
-      if (r != p2) return r;
-      continue;
-    }
-
-    // Phase A — strip update: apply panel p to columns [p1, p2) of every
-    // trailing row. After the barrier, panel p+1's columns carry every
-    // panel's contribution and are ready to factor.
-    const std::size_t strip_tiles = (rows + kTileRows - 1) / kTileRows;
-    pool->parallel_for(strip_tiles, [&](std::size_t t) {
-      const std::size_t r0 = p1 + t * kTileRows;
-      const std::size_t r1 = std::min(r0 + kTileRows, n);
-      trailing_update_rows(a, stride, p0, p1, p1, p2, r0, r1, backend,
-                           dot_sub_fn);
-    });
-
-    // Phase B — task 0 factors panel p+1 (touching only columns [p1, p2))
-    // while the remaining tasks apply panel p to columns >= p2. The caller
-    // drains the pool queue first inside parallel_for, so the owning thread
-    // typically takes the panel factor itself. `panel_result` is written by
-    // task 0 only; parallel_for's join supplies the happens-before for the
-    // read below.
-    const std::size_t rest_rows = n - p2;
-    const std::size_t rest_tiles =
-        rest_rows == 0 ? 0 : (rest_rows + kTileRows - 1) / kTileRows;
-    std::size_t panel_result = p2;
-    pool->parallel_for(1 + rest_tiles, [&](std::size_t t) {
-      if (t == 0) {
-        panel_result = factor_panel(a, n, stride, p1, p2, dot_sub_fn);
-        return;
-      }
-      const std::size_t r0 = p2 + (t - 1) * kTileRows;
-      const std::size_t r1 = std::min(r0 + kTileRows, n);
-      trailing_update_rows(a, stride, p0, p1, p2, n, r0, r1, backend,
-                           dot_sub_fn);
-    });
-    // A non-positive pivot is computed from bits identical to the serial
-    // schedule's, so the reported column matches kSerial exactly.
-    if (panel_result != p2) return panel_result;
-  }
-}
-
 }  // namespace
 
-std::size_t cholesky_inplace(double* a, std::size_t n, std::size_t stride,
-                             util::ThreadPool* pool,
-                             CholeskySchedule schedule) {
+std::size_t cholesky_inplace(double* a, std::size_t n, std::size_t stride) {
   const Backend backend = active_backend();
   DotSubFn dot_sub_fn = scalar::dot_sub;
   if (backend == Backend::kAvx512) {
@@ -254,17 +110,13 @@ std::size_t cholesky_inplace(double* a, std::size_t n, std::size_t stride,
     dot_sub_fn = avx2::dot_sub;
   }
 
-  if (pool == nullptr || schedule == CholeskySchedule::kSerial) {
-    return cholesky_panels(a, n, stride, nullptr, backend, dot_sub_fn);
+  for (std::size_t p0 = 0; p0 < n; p0 += kPanel) {
+    const std::size_t p1 = std::min(p0 + kPanel, n);
+    const std::size_t r = factor_panel(a, n, stride, p0, p1, dot_sub_fn);
+    if (r != p1) return r;
+    trailing_update(a, n, stride, p0, p1, backend, dot_sub_fn);
   }
-  if (schedule == CholeskySchedule::kParallelTiles) {
-    return cholesky_panels(a, n, stride, pool, backend, dot_sub_fn);
-  }
-  return cholesky_lookahead(a, n, stride, pool, backend, dot_sub_fn);
-}
-
-std::size_t cholesky_inplace(double* a, std::size_t n, std::size_t stride) {
-  return cholesky_inplace(a, n, stride, nullptr, CholeskySchedule::kSerial);
+  return n;
 }
 
 }  // namespace sy::num

@@ -25,10 +25,6 @@
 #include <cstddef>
 #include <span>
 
-namespace sy::util {
-class ThreadPool;
-}  // namespace sy::util
-
 /// Numeric kernel layer: runtime-dispatched scalar/AVX2/AVX-512 hot loops.
 namespace sy::num {
 
@@ -92,51 +88,15 @@ void rff_transform_row(const double* freqs, std::size_t n_freq,
 /// trailing update; the inner reductions dispatch on the active backend. The
 /// strictly upper triangle is left untouched.
 ///
-/// \return `n` on success. On a non-positive pivot, returns its index j (the
-/// matrix is not positive definite); entries at and beyond column j are
-/// partially updated garbage.
+/// \return `n` on success. On a pivot that is not positive (NaN included),
+/// returns its index j (the matrix is not positive definite); entries at and
+/// beyond column j are partially updated garbage.
 ///
 /// Scalar bit-exactness: every entry undergoes the same subtraction sequence
 /// (ascending k), sqrt, and division as the classic unblocked left-looking
 /// loop, so the scalar factor is bit-identical to it; blocking only reorders
 /// which entry is visited next, never the per-entry operation order.
 std::size_t cholesky_inplace(double* a, std::size_t n, std::size_t stride);
-
-/// How the pooled Cholesky overload schedules the per-panel work. Every
-/// schedule produces a BITWISE identical factor per backend: each entry's
-/// own ascending-k subtraction order never changes, only which thread
-/// visits it when (pinned in tests/num_kernels_test).
-enum class CholeskySchedule {
-  /// Panel factor and trailing update both on the calling thread.
-  kSerial,
-  /// The PR-5 schedule: serial panel factor, then the rank-k trailing
-  /// update tiled across the pool with a full barrier per panel.
-  kParallelTiles,
-  /// Look-ahead: after the tiles covering only panel p+1's columns finish,
-  /// the owning thread factors panel p+1 WHILE the pool works the rest of
-  /// panel p's trailing update — the serial panel factor overlaps tile
-  /// work instead of gating it (default for the pooled overload).
-  kLookahead,
-};
-
-/// Same factorization with the per-panel work scheduled across `pool` once
-/// the trailing block has at least kCholeskyParallelRows rows (smaller
-/// problems, or pool == nullptr, run the serial schedule). Tiles own
-/// disjoint row ranges and read only panel columns finalized before the
-/// update starts; the look-ahead panel factor writes only the next panel's
-/// column strip, which no concurrent tile touches. The result is BITWISE
-/// identical to the serial path on every backend — parallelism changes
-/// which thread visits an entry, never the entry's own operation order
-/// (pinned in tests/num_kernels_test).
-std::size_t cholesky_inplace(double* a, std::size_t n, std::size_t stride,
-                             util::ThreadPool* pool,
-                             CholeskySchedule schedule =
-                                 CholeskySchedule::kLookahead);
-
-/// Trailing-update rows below which the parallel overload stays serial: a
-/// tile must amortize the submit/steal handshake, and the serving stack's
-/// per-user systems (tens to a few hundred rows) never benefit.
-inline constexpr std::size_t kCholeskyParallelRows = 192;
 
 /// Bit-exact reference implementations (see the file contract above).
 namespace scalar {

@@ -84,13 +84,16 @@ void ShardedPopulationStore::compact_shard_locked(std::size_t s) {
 void ShardedPopulationStore::contribute(
     int contributor_token, sensors::DetectedContext context,
     const std::vector<std::vector<double>>& vectors) {
+  // One immutable block per contribution: every snapshot that includes it
+  // shares the block, so no rebuild ever copies these vectors again. Built
+  // (and validated) before the lock, so a rejected payload changes no
+  // bucket, version, counter or log record.
+  core::VectorBlock block =
+      core::make_vector_block(contributor_token, vectors);
   const std::size_t s = shard_of(contributor_token);
   Shard& shard = *shards_[s];
   std::lock_guard<std::mutex> lock(shard.mutex);
-  // One immutable block per contribution: every snapshot that includes it
-  // shares the block, so no rebuild ever copies these vectors again.
-  shard.data[context].append_block(
-      core::make_vector_block(contributor_token, vectors));
+  shard.data[context].append_block(std::move(block));
   ++shard.version;
   contributions_->inc();
 

@@ -1,5 +1,5 @@
-// Work-stealing thread pool shared by the batch training/scoring engine and
-// the experiment harness.
+// Work-stealing thread pool shared by the serving gateway (retrain queue,
+// deferred-work replay) and the experiment harness.
 //
 // Each worker owns a deque: it pushes/pops its own work LIFO (cache-warm) and
 // steals FIFO from siblings when idle, so uneven per-user training costs

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "util/rng.h"
 
 namespace sy::core {
@@ -109,6 +111,29 @@ TEST(CowPopulationStore, SnapshotUnperturbedByLaterContribution) {
   EXPECT_EQ(snapshot->at(kStationary).size(), 10u);
   EXPECT_EQ(store.store_size(kStationary), 15u);
   EXPECT_EQ(store.snapshot()->at(kStationary).size(), 15u);
+}
+
+TEST(CowPopulationStore, RejectedContributionChangesNothing) {
+  // A NaN/inf value or a ragged payload is refused before the copy-on-write
+  // clone: the map, its buckets and their sizes stay as they were.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  CowPopulationStore store;
+  util::Rng rng(78);
+  store.contribute(1, kStationary, user_vectors(1, 10, rng));
+  const auto snapshot = store.snapshot();
+  std::vector rejected(4, user_vectors(2, 4, rng));
+  rejected[0][2][1] = std::numeric_limits<double>::quiet_NaN();
+  rejected[1][2][1] = kInf;
+  rejected[2][2][1] = -kInf;
+  rejected[3][3].pop_back();
+  for (const auto& payload : rejected) {
+    EXPECT_THROW(store.contribute(2, kStationary, payload),
+                 std::invalid_argument);
+    EXPECT_THROW(store.contribute(2, kMoving, payload), std::invalid_argument);
+  }
+  EXPECT_EQ(store.snapshot(), snapshot);  // no clone
+  EXPECT_EQ(snapshot->count(kMoving), 0u);
+  EXPECT_EQ(store.store_size(kStationary), 10u);
 }
 
 TEST(AuthServer, EmptyUploadThrows) {

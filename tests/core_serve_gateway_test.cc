@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
 
 #include "core/model_store.h"
 #include "util/rng.h"
@@ -212,6 +213,40 @@ TEST(AuthGateway, VersionsAdvanceMonotonicallyAcrossEnrollAndRetrain) {
   ASSERT_NE(reenrolled, nullptr);
   EXPECT_EQ(reenrolled->version(), 3);
   EXPECT_EQ(gateway.model_version(0), 3);
+}
+
+TEST(AuthGateway, NonFiniteUploadInstallsNothing) {
+  // One NaN in an upload. Kept to the user's own training set, it fails the
+  // Cholesky pivot; contributed, the store refuses it before it reaches
+  // anyone's impostor samples. Enroll and drift retrain throw, the
+  // installed version stays, and the next enrollee trains a working model.
+  for (const auto mode : {ml::TrainingMode::kExact, ml::TrainingMode::kRff}) {
+    GatewayConfig config;
+    config.training.krr.mode = mode;
+    config.training.krr.approx_dim = 32;
+    AuthGateway gateway(config);
+    seed_population(gateway);
+    (void)gateway.enroll(0, positives_for(0, 3100), 3101);
+    auto poisoned = positives_for(0, 3102);
+    poisoned[kStationary][3][2] = std::numeric_limits<double>::quiet_NaN();
+
+    EXPECT_THROW((void)gateway.enroll(0, poisoned, 3103,
+                                      /*contribute_positives=*/false),
+                 std::runtime_error)
+        << ml::to_string(mode);
+    EXPECT_THROW((void)gateway.enroll(0, poisoned, 3104),
+                 std::invalid_argument)
+        << ml::to_string(mode);
+    EXPECT_THROW((void)gateway.report_drift(0, poisoned, 3105).get(),
+                 std::runtime_error)
+        << ml::to_string(mode);
+    EXPECT_EQ(gateway.model_version(0), 1) << ml::to_string(mode);
+
+    (void)gateway.enroll(1, positives_for(1, 3106), 3107);
+    const auto own =
+        gateway.score_batch(1, kStationary, user_vectors(1, 20, 3108));
+    EXPECT_GT(accepted_count(own), 16u) << ml::to_string(mode);
+  }
 }
 
 TEST(AuthGateway, EvictedModelsReloadFromPersistedBundles) {

@@ -13,9 +13,8 @@
 //   3. Masked remainders (AVX-512) — a length-n kernel is BITWISE identical
 //      to the zero-padded full-lane run, for every remainder width 1..7
 //      (position independence).
-//   4. Schedules — the pooled Cholesky schedules (parallel tiles,
-//      look-ahead) are BITWISE identical to the serial factorization on
-//      every backend, straddling the kCholeskyParallelRows threshold.
+//   4. Frozen factor — the blocked Cholesky is BITWISE the frozen copy of
+//      its panel schedule below, on every backend, pivot status included.
 //   5. Serial row sums — serial_dot_rows is BITWISE the per-backend
 //      ascending-axpy reduction it replaced in KRR scoring.
 #include "num/kernels.h"
@@ -29,9 +28,9 @@
 #include <string>
 #include <vector>
 
+#include "ml/linalg.h"
 #include "num/backend.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace sy::num {
 namespace {
@@ -79,6 +78,49 @@ bool ref_cholesky(const std::vector<double>& a, std::size_t n,
   return true;
 }
 
+// A frozen copy of the blocked factor in num/cholesky.cc: a rewrite there
+// (register tiling, another panel width) must keep its bits on every
+// backend. Per 64-column panel: one dot_sub per panel entry, stopping at the
+// first pivot that is not > 0 (NaN included); then the trailing update from
+// column p1, eight (avx512) or four (avx2) columns per dot_subN call and one
+// dot_sub per remaining column. Returns n, or the failing column.
+std::size_t frozen_cholesky(double* a, std::size_t n, Backend backend) {
+  const auto dot_sub_fn = backend == Backend::kAvx512 ? avx512::dot_sub
+                          : backend == Backend::kAvx2 ? avx2::dot_sub
+                                                      : scalar::dot_sub;
+  const std::size_t width = backend == Backend::kAvx512 ? 8
+                            : backend == Backend::kAvx2 ? 4
+                                                        : 0;
+  for (std::size_t p0 = 0; p0 < n; p0 += 64) {
+    const std::size_t p1 = std::min<std::size_t>(p0 + 64, n);
+    for (std::size_t j = p0; j < p1; ++j) {
+      const std::span<const double> lj{a + j * n + p0, j - p0};
+      const double diag = dot_sub_fn(a[j * n + j], lj, lj);
+      if (!(diag > 0.0)) return j;
+      a[j * n + j] = std::sqrt(diag);
+      for (std::size_t i = j + 1; i < n; ++i) {
+        a[i * n + j] = dot_sub_fn(a[i * n + j], {a + i * n + p0, j - p0}, lj) /
+                       a[j * n + j];
+      }
+    }
+    const std::size_t nb = p1 - p0;
+    for (std::size_t i = p1; i < n; ++i) {
+      const double* li = a + i * n + p0;
+      std::size_t j = p1;
+      for (; width > 0 && j + width <= i + 1; j += width) {
+        const double* bs[8];
+        for (std::size_t c = 0; c < width; ++c) bs[c] = a + (j + c) * n + p0;
+        if (width == 8) avx512::dot_sub8(a + i * n + j, li, bs, nb);
+        if (width == 4) avx2::dot_sub4(a + i * n + j, li, bs, nb);
+      }
+      for (; j <= i; ++j) {
+        a[i * n + j] = dot_sub_fn(a[i * n + j], {li, nb}, {a + j * n + p0, nb});
+      }
+    }
+  }
+  return n;
+}
+
 // --- Helpers ---------------------------------------------------------------
 
 std::vector<double> random_vector(util::Rng& rng, std::size_t n,
@@ -100,6 +142,20 @@ std::vector<double> random_spd(util::Rng& rng, std::size_t n) {
       a[i * n + j] = acc;
     }
     a[i * n + i] += static_cast<double>(n);
+  }
+  return a;
+}
+
+// B B^T + I with B n x k gaussian: O(n^2 k), so n = 800 stays cheap under
+// the sanitizers.
+std::vector<double> low_rank_spd(util::Rng& rng, std::size_t n,
+                                 std::size_t k) {
+  const auto b = random_vector(rng, n * k);
+  std::vector<double> a(n * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      a[i * n + j] = (i == j) + ref_dot({&b[i * k], k}, {&b[j * k], k});
+    }
   }
   return a;
 }
@@ -231,102 +287,6 @@ TEST(NumScalar, BlockedCholeskyBitIdenticalToUnblockedReference) {
   }
 }
 
-TEST(NumParallel, PooledTrailingUpdateBitIdenticalToSerialPerBackend) {
-  // The pooled overload tiles the rank-k trailing update across worker
-  // threads; tiles own disjoint rows/columns and read only panel columns
-  // finalized before the update starts, so the factor must be BITWISE
-  // identical to the serial schedule — on every compiled backend (each
-  // compared to its own serial run; cross-backend equality is a different,
-  // tolerance-based contract). The default pooled schedule is kLookahead,
-  // so this also pins the default path.
-  util::ThreadPool pool(4);
-  util::Rng rng(1008);
-  // Below the parallel row threshold (serial fallback), just past it, and
-  // sizes where several panels in a row still clear it.
-  for (const std::size_t n : {65u, 200u, 256u, 300u, 471u}) {
-    const auto a = random_spd(rng, n);
-    for (const Backend backend : all_backends()) {
-      if (!backend_available(backend)) continue;
-      const Backend saved = active_backend();
-      set_backend(backend);
-      auto serial = a;
-      const std::size_t serial_status =
-          cholesky_inplace(serial.data(), n, n);
-      auto pooled = a;
-      const std::size_t pooled_status =
-          cholesky_inplace(pooled.data(), n, n, &pool);
-      set_backend(saved);
-      ASSERT_EQ(serial_status, n);
-      ASSERT_EQ(pooled_status, n);
-      EXPECT_EQ(0, std::memcmp(serial.data(), pooled.data(),
-                               n * n * sizeof(double)))
-          << "n=" << n << " backend=" << backend_name(backend);
-    }
-  }
-}
-
-TEST(NumParallel, EverySchedulesBitIdenticalToSerialPerBackend) {
-  // The look-ahead schedule overlaps panel p+1's factor with panel p's
-  // remaining trailing tiles; the explicit-schedule sweep pins both pooled
-  // schedules bitwise against the serial factor, at n just below and just
-  // above kCholeskyParallelRows (192) and at multi-panel sizes where the
-  // look-ahead loop transitions back to its serial tail as the trailing
-  // block shrinks.
-  util::ThreadPool pool(4);
-  util::Rng rng(1009);
-  for (const std::size_t n : {190u, 193u, 256u, 320u, 471u}) {
-    const auto a = random_spd(rng, n);
-    for (const Backend backend : all_backends()) {
-      if (!backend_available(backend)) continue;
-      const Backend saved = active_backend();
-      set_backend(backend);
-      auto serial = a;
-      const std::size_t serial_status = cholesky_inplace(serial.data(), n, n);
-      for (const CholeskySchedule schedule :
-           {CholeskySchedule::kSerial, CholeskySchedule::kParallelTiles,
-            CholeskySchedule::kLookahead}) {
-        auto pooled = a;
-        const std::size_t pooled_status =
-            cholesky_inplace(pooled.data(), n, n, &pool, schedule);
-        ASSERT_EQ(pooled_status, serial_status);
-        EXPECT_EQ(0, std::memcmp(serial.data(), pooled.data(),
-                                 n * n * sizeof(double)))
-            << "n=" << n << " backend=" << backend_name(backend)
-            << " schedule=" << static_cast<int>(schedule);
-      }
-      set_backend(saved);
-      ASSERT_EQ(serial_status, n);
-    }
-  }
-}
-
-TEST(NumParallel, LookaheadReportsSameBadPivotAsSerial) {
-  // Corrupt a diagonal entry inside the SECOND panel of a matrix large
-  // enough to engage the parallel path, so the failing pivot is discovered
-  // by the look-ahead panel factor running concurrently with trailing
-  // tiles. The reported column must match the serial schedule exactly.
-  util::ThreadPool pool(4);
-  util::Rng rng(1010);
-  const std::size_t n = 256;
-  auto a = random_spd(rng, n);
-  a[100 * n + 100] = -1.0;  // column 100 lives in panel [64, 128)
-  auto serial = a;
-  const std::size_t serial_status = cholesky_inplace(serial.data(), n, n);
-  auto lookahead = a;
-  const std::size_t lookahead_status = cholesky_inplace(
-      lookahead.data(), n, n, &pool, CholeskySchedule::kLookahead);
-  EXPECT_EQ(serial_status, 100u);
-  EXPECT_EQ(lookahead_status, 100u);
-}
-
-TEST(NumParallel, PooledCholeskyReportsSameBadPivot) {
-  util::ThreadPool pool(2);
-  std::vector<double> a{4.0, 2.0, 2.0, -9.0};
-  auto b = a;
-  EXPECT_EQ(cholesky_inplace(a.data(), 2, 2), 1u);
-  EXPECT_EQ(cholesky_inplace(b.data(), 2, 2, &pool), 1u);
-}
-
 TEST(NumScalar, CholeskyReportsFirstBadPivot) {
   // Indefinite matrix: pivot 1 fails after the first column factors.
   std::vector<double> a{4.0, 2.0, 2.0, -9.0};
@@ -335,6 +295,62 @@ TEST(NumScalar, CholeskyReportsFirstBadPivot) {
   const std::size_t status = cholesky_inplace(a.data(), 2, 2);
   set_backend(saved);
   EXPECT_EQ(status, 1u);
+}
+
+TEST(NumAnyBackend, BlockedCholeskyBitIdenticalToFrozenFactor) {
+  // The tolerance sweeps hold avx2/avx512 only to 1e-12 of scalar; this
+  // pins each backend's factor bitwise at one entry, either side of a panel
+  // edge, several panels and the N = 800 enroll system. A negative pivot
+  // planted mid-matrix pins the failing column and partial factor too.
+  util::Rng rng(1011);
+  const Backend saved = active_backend();
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 193u, 471u, 800u}) {
+    const auto spd = low_rank_spd(rng, n, 48);
+    for (const Backend backend : all_backends()) {
+      if (!backend_available(backend)) continue;
+      set_backend(backend);
+      for (const bool planted : {false, true}) {
+        auto want = spd;
+        if (planted) want[n / 2 * n + n / 2] = -1.0;
+        auto got = want;
+        const std::size_t status = planted ? n / 2 : n;
+        EXPECT_EQ(frozen_cholesky(want.data(), n, backend), status);
+        EXPECT_EQ(cholesky_inplace(got.data(), n, n), status)
+            << "n=" << n << " " << backend_name(backend);
+        EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                 n * n * sizeof(double)))
+            << "n=" << n << " " << backend_name(backend)
+            << (planted ? " planted" : "");
+      }
+    }
+  }
+  set_backend(saved);
+}
+
+TEST(NumAnyBackend, NanPivotIsReportedAsFailure) {
+  // `diag <= 0.0` is false for NaN. A NaN pivot must still fail, in panel 0
+  // and in panel 1, and ml::cholesky must throw, on every backend.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  util::Rng rng(1012);
+  constexpr std::size_t n = 130;
+  const auto spd = low_rank_spd(rng, n, 48);
+  const Backend saved = active_backend();
+  for (const Backend backend : all_backends()) {
+    if (!backend_available(backend)) continue;
+    set_backend(backend);
+    std::vector<double> diagonal{4.0, 0.0, 0.0, 0.0, kNan, 0.0, 0.0, 0.0, 9.0};
+    EXPECT_EQ(cholesky_inplace(diagonal.data(), 3, 3), 1u)
+        << backend_name(backend);
+    for (const std::size_t bad : {5u, 100u}) {
+      auto a = spd;
+      a[bad * n + bad] = kNan;
+      ml::Matrix m(n, n);
+      std::copy(a.begin(), a.end(), m.data().begin());
+      EXPECT_EQ(cholesky_inplace(a.data(), n, n), bad) << backend_name(backend);
+      EXPECT_THROW((void)ml::cholesky(m), std::runtime_error) << bad;
+    }
+  }
+  set_backend(saved);
 }
 
 // --- AVX2 backend: 1e-12 relative agreement with scalar --------------------

@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "core/auth_server.h"
+#include "core/population_codec.h"
+#include "serve/volume.h"
 #include "util/rng.h"
 
 namespace sy::serve {
@@ -214,25 +217,43 @@ TEST(ShardedPopulationStore, BucketsCopiedTracksDeltaNotStoreSize) {
   EXPECT_EQ(sharded.stats().snapshot_buckets_shared, 1u);
 }
 
-TEST(ShardedPopulationStore, WorksAsBatchTrainingBackend) {
-  auto backend = std::make_shared<ShardedPopulationStore>(4);
-  core::AuthServer server({}, {}, backend);
-  util::Rng data_rng(36);
-  std::vector<core::VectorsByContext> positives(4);
-  std::vector<core::EnrollmentRequest> requests(4);
-  for (int u = 0; u < 4; ++u) {
-    positives[u][kStationary] = user_vectors(u, 30, data_rng);
-    server.contribute(u, kStationary, positives[u][kStationary]);
-    requests[u].user_token = u;
-    requests[u].positives = &positives[u];
-    requests[u].rng_seed = 900 + static_cast<std::uint64_t>(u);
+TEST(ShardedPopulationStore, RejectedContributionChangesNothing) {
+  // A NaN/inf value or a ragged payload is refused before the shard lock:
+  // no bucket, shard version, counter or log record moves, and recovery
+  // replays only the accepted contribution.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  util::Rng rng(39);
+  std::vector rejected(4, user_vectors(2, 4, rng));
+  rejected[0][2][1] = std::numeric_limits<double>::quiet_NaN();
+  rejected[1][2][1] = kInf;
+  rejected[2][2][1] = -kInf;
+  rejected[3][3].pop_back();
+
+  PersistenceOptions options;
+  options.dir = "/mem/rejected";
+  options.volume = std::make_shared<MemVolume>();
+  std::vector<std::uint8_t> accepted;
+  {
+    ShardedPopulationStore store(4);
+    store.attach_persistence(options);
+    store.contribute(1, kStationary, user_vectors(1, 10, rng));
+    const auto snapshot = store.snapshot();
+    const auto before = store.stats();
+    for (const auto& payload : rejected) {
+      EXPECT_THROW(store.contribute(2, kStationary, payload),
+                   std::invalid_argument);
+      EXPECT_THROW(store.contribute(2, kMoving, payload),
+                   std::invalid_argument);
+    }
+    EXPECT_EQ(store.stats().contributions, before.contributions);
+    EXPECT_EQ(store.stats().log_records, before.log_records);
+    EXPECT_EQ(store.snapshot(), snapshot);  // cached: no shard version moved
+    EXPECT_EQ(store.store_size(kMoving), 0u);
+    accepted = core::serialize_population(*snapshot);
   }
-  const auto models = server.train_user_models(requests);
-  ASSERT_EQ(models.size(), 4u);
-  for (const auto& model : models) {
-    EXPECT_EQ(model.context_count(), 1u);
-  }
-  EXPECT_EQ(server.store_size(kStationary), 120u);
+  ShardedPopulationStore recovered(4);
+  EXPECT_EQ(recovered.attach_persistence(options).replayed_records, 1u);
+  EXPECT_EQ(core::serialize_population(*recovered.snapshot()), accepted);
 }
 
 }  // namespace

@@ -3,18 +3,22 @@
 //   - ShardedPopulationStore: contribute racing snapshot/store_size
 //   - RetrainQueue: concurrent submits (coalescing) racing model swaps
 //   - ModelCache: eviction racing parallel lookups and puts
+//   - AuthGateway in the approximate modes: enroll, drift retrain and
+//     contribute racing on the shared ApproxStatsCache
 // Assertions are deliberately coarse (counts, invariants); the point is the
 // interleavings TSan observes, not the values.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
+#include <future>
 #include <thread>
 #include <vector>
 
 #include "core/model_store.h"
 #include "core/population_codec.h"
 #include "ml/dataset.h"
+#include "serve/auth_gateway.h"
 #include "serve/model_cache.h"
 #include "serve/retrain_queue.h"
 #include "serve/sharded_population_store.h"
@@ -154,6 +158,54 @@ TEST(ServeTsan, RetrainCoalescingAndSwapRaces) {
   // Every hammered user ended up with a swapped-in model.
   for (int u = 0; u < 3; ++u) {
     EXPECT_NE(cache.get(u), nullptr);
+  }
+}
+
+TEST(ServeTsan, ApproxEnrollDriftAndContributeRaces) {
+  // Enroll and the retrain queue share one ApproxStatsCache. Four threads
+  // each enroll three users (contributing their positives), report drift and
+  // contribute, so the statistics rebuild across power-of-two prefixes
+  // (32 -> 64 -> 128 vectors) while other threads look them up.
+  for (const auto mode :
+       {ml::TrainingMode::kRff, ml::TrainingMode::kNystrom}) {
+    util::ThreadPool pool(4);
+    GatewayConfig config;
+    config.shards = 4;
+    config.training.krr.mode = mode;
+    config.training.krr.approx_dim = 32;
+    AuthGateway gateway(config, &pool);
+    for (int u = 100; u < 104; ++u) {
+      gateway.contribute(u, kStationary, user_vectors(u, 8, 9700 + u));
+    }
+    constexpr int kThreads = 4;
+    constexpr int kUsersPerThread = 3;
+    std::vector<std::vector<std::shared_future<core::AuthModel>>> drifts(
+        kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&gateway, &drifts, t] {
+        for (int user = t * kUsersPerThread; user < (t + 1) * kUsersPerThread;
+             ++user) {
+          (void)gateway.enroll(
+              user, {{kStationary, user_vectors(user, 12, 9800 + user)}},
+              9900 + user, /*contribute_positives=*/true);
+          drifts[t].push_back(gateway.report_drift(
+              user, {{kStationary, user_vectors(user, 12, 9850 + user)}},
+              9950 + user));
+          gateway.contribute(200 + user, kStationary,
+                             user_vectors(200 + user, 6, 10000 + user));
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    for (const auto& futures : drifts) {
+      for (const auto& future : futures) {
+        EXPECT_GE(future.get().version(), 2) << ml::to_string(mode);
+      }
+    }
+    for (int user = 0; user < kThreads * kUsersPerThread; ++user) {
+      EXPECT_GE(gateway.model_version(user), 2) << ml::to_string(mode);
+    }
   }
 }
 

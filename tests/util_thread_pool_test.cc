@@ -82,7 +82,7 @@ TEST(ThreadPool, SubmitRunsDetachedTasks) {
 }
 
 // N users x M contexts stress shape: uneven task costs, results in
-// pre-sized slots, shared read-only input — AuthServer::train_user_models.
+// pre-sized slots, shared read-only input.
 // Run under -fsanitize=thread to certify the pool (see CMake option SY_TSAN).
 TEST(ThreadPool, StressUsersByContexts) {
   constexpr std::size_t kUsers = 32;
